@@ -11,7 +11,6 @@ reproduce the input class-for-class on its window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .constructions import discrete, orbit_ring, standard_wedge, symmetric, wedge, WedgeSpec
@@ -23,8 +22,7 @@ from .groups import (
     Subgroup,
     all_automorphisms,
     automorphism_from_json,
-    automorphism_sort_key,
-    close_automorphisms,
+    canonical_generators,
 )
 from .schur import (
     SchurPresentation,
@@ -217,20 +215,6 @@ def _maximal_stabilizing_group(P: SchurPresentation) -> list[Automorphism]:
     ]
 
 
-def _canonical_generators(k_max: list[Automorphism]) -> tuple[Automorphism, ...]:
-    nonid = sorted(
-        (phi for phi in k_max if not phi.is_identity()), key=automorphism_sort_key
-    )
-    if not nonid:
-        return ()
-    target = frozenset(k_max)
-    for size in range(1, len(nonid) + 1):
-        for combo in combinations(nonid, size):
-            if close_automorphisms(combo) == target:
-                return combo
-    raise Unclassifiable("automorphism group has no generating subset")  # unreachable
-
-
 def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
     """Recursive case analysis; window may be as small as 1 in recursion."""
     G = P.group
@@ -253,7 +237,7 @@ def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
 
     if degenerate == 1:
         k_max = _maximal_stabilizing_group(P)
-        gens = _canonical_generators(k_max)
+        gens = canonical_generators(k_max)
         if not gens:
             return FamilyDescriptor("full", symmetric=False)
         if len(k_max) == 2 and gens[0] == Automorphism.inversion(G):
@@ -272,7 +256,7 @@ def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
     return FamilyDescriptor("wedge", tower_step=degenerate, inner=inner, outer=mode)
 
 
-def classify(P: SchurPresentation, *, assume_verified: bool = True) -> FamilyDescriptor:
+def classify(P: SchurPresentation) -> FamilyDescriptor:
     """Identify the family of a verified presentation over Z x Z_3.
 
     Returns a descriptor whose re-synthesis reproduces P class-for-class on

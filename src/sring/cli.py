@@ -114,7 +114,14 @@ def parse_group(text: str) -> GroupDescriptor:
 
 
 def _read_presentation(source: str) -> SchurPresentation:
-    raw = sys.stdin.read() if source == "-" else open(source, encoding="utf-8").read()
+    try:
+        if source == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                raw = fh.read()
+    except OSError as ex:
+        raise ValueError(f"cannot read {source}: {ex.strerror or ex}") from None
     return SchurPresentation.from_json(json.loads(raw))
 
 
@@ -233,11 +240,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     try:
         P = _read_presentation(args.presentation)
-    except (json.JSONDecodeError, KeyError, ValueError) as ex:
+        report = verify_axioms(P)
+    except (MalformedPartition, json.JSONDecodeError, KeyError, ValueError) as ex:
         _emit({"error": str(ex)}, args.json, f"malformed: {ex}")
         return EXIT_MALFORMED
     rows: list[tuple[str, bool, str]] = []
-    report = verify_axioms(P)
     rows.append(("axioms", report.ok, f"verdict {report.verdict}"))
     wielandt = verify_wielandt(P)
     rows.append(

@@ -12,7 +12,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, InfiniteGroup
-from .group_ring import RingElement, simple_quantity
 from .groups import (
     Automorphism,
     GroupDescriptor,
@@ -21,13 +20,17 @@ from .groups import (
     all_automorphisms,
     all_subgroups,
     automorphism_sort_key,
+    canonical_generators,
     close_automorphisms,
     orbit,
 )
 from .schur import (
     SchurPresentation,
     VALID,
+    class_product,
+    constant_on,
     is_ssubgroup,
+    is_union,
     quotient,
     restrict,
     verify_axioms,
@@ -63,18 +66,11 @@ def enumerate_finite(
     results: list[SchurPresentation] = []
 
     def products_consistent(done: list[frozenset], fresh: Sequence[frozenset]) -> bool:
-        sums = {c: simple_quantity(group, c) for c in done}
         for c in fresh:
             for d in done:
-                prod = sums[c] * sums[d]
-                for e in done:
-                    first = None
-                    for g in e:
-                        v = prod.coeff(g)
-                        if first is None:
-                            first = v
-                        elif v != first:
-                            return False
+                prod = class_product(c, d, group)
+                if not all(constant_on(prod, e) for e in done):
+                    return False
         return True
 
     def extend(classes: list[frozenset], remaining: tuple[GroupElement, ...]) -> None:
@@ -143,17 +139,6 @@ def _automorphism_subgroups(group: GroupDescriptor) -> list[frozenset[Automorphi
     return sorted(seen, key=lambda s: (len(s), sorted(map(automorphism_sort_key, s))))
 
 
-def _canonical_generating_set(members: frozenset[Automorphism]) -> tuple[Automorphism, ...]:
-    nonid = sorted((p for p in members if not p.is_identity()), key=automorphism_sort_key)
-    for size in range(0, len(nonid) + 1):
-        for combo in combinations(nonid, size):
-            if not combo and len(members) > 1:
-                continue
-            if close_automorphisms(combo or [next(iter(members))]) == members:
-                return combo
-    return tuple(nonid)
-
-
 def _orbit_partition(group: GroupDescriptor, gens: Iterable[Automorphism]) -> set[frozenset]:
     gens = list(gens)
     classes, seen = set(), set()
@@ -184,7 +169,7 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
 
     for members in _automorphism_subgroups(G):
         if _orbit_partition(G, members) == class_set:
-            return TraditionalityResult("orbit", generators=_canonical_generating_set(members))
+            return TraditionalityResult("orbit", generators=canonical_generators(members))
 
     subgroups = all_subgroups(G)
     proper = [H for H in subgroups if not H.is_trivial and H.order != G.order]
@@ -279,17 +264,6 @@ def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[f
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
 
 
-def _constant_on(prod: RingElement, cls: frozenset) -> bool:
-    first = None
-    for g in cls:
-        v = prod.coeff(g)
-        if first is None:
-            first = v
-        elif v != first:
-            return False
-    return True
-
-
 class _WindowSearch:
     def __init__(self, group: GroupDescriptor, window: int, mode: str, torsion: tuple):
         self.group = group
@@ -318,41 +292,28 @@ class _WindowSearch:
     def _consistent(self, classes: list[frozenset], fresh: Sequence[frozenset]) -> bool:
         group = self.group
         lookup = {g: c for c in classes for g in c}
-        sums = {c: simple_quantity(group, c) for c in classes}
         fresh_set = set(fresh)
         for i, c in enumerate(classes):
             for d in classes[i:]:
                 if c not in fresh_set and d not in fresh_set:
                     continue
-                prod = sums[c] * sums[d]
+                prod = class_product(c, d, group)
                 checked = set()
-                for g in prod.support():
+                for g in prod:
                     e = lookup.get(g)
                     if e is None or e in checked:
                         continue
                     checked.add(e)
-                    if not _constant_on(prod, e):
+                    if not constant_on(prod, e):
                         return False
-        # closure under the squaring transport (coprime to the torsion order)
-        covered = set(lookup)
+        # closure under the squaring transport (coprime to the torsion order);
+        # only the support of the transported class sum matters, and the
+        # search group Z x Z_m needs no reduction of the free exponent
+        m = group.torsion_order
         for c in classes:
-            image = sums[c].frobenius(2)
-            support = image.support()
-            if not support <= covered:
-                continue
-            if not self._is_union(support, lookup):
+            squares = {(2 * z, 2 * a % m) for z, a in c}
+            if squares <= lookup.keys() and not is_union(squares, lookup):
                 return False
-        return True
-
-    @staticmethod
-    def _is_union(elems: frozenset, lookup: dict) -> bool:
-        remaining = set(elems)
-        while remaining:
-            g = next(iter(remaining))
-            c = lookup.get(g)
-            if c is None or not c <= remaining:
-                return False
-            remaining -= c
         return True
 
     def _small_class_rule(self, classes: list[frozenset]) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -360,6 +361,23 @@ def close_automorphisms(
                         raise OrbitUnbounded("automorphism closure exceeded bound")
         frontier = nxt
     return frozenset(seen)
+
+
+def canonical_generators(members: Iterable[Automorphism]) -> tuple[Automorphism, ...]:
+    """The least generating set of a group of automorphisms.
+
+    Candidates are the non-identity members in sort-key order, tried by size
+    and then lexicographically; the identity group gives ().
+    """
+    target = frozenset(members)
+    nonid = sorted((phi for phi in target if not phi.is_identity()), key=automorphism_sort_key)
+    for size in range(1, len(nonid) + 1):
+        for combo in combinations(nonid, size):
+            if close_automorphisms(combo) == target:
+                return combo
+    if nonid:
+        raise ValueError("the automorphisms do not form a group")
+    return ()
 
 
 def orbit(

@@ -4,13 +4,18 @@ A presentation is a finite-support partition of a group (or of a window of an
 infinite group) claiming to span a Schur ring.  Verification is exact; for
 windowed presentations a product check runs only when it provably stays
 inside the window, so truncation can never produce a false negative.
+
+Class sums have non-negative integer coefficients, so both verifiers (and the
+enumerators) multiply them with :func:`class_product`, which counts products
+of exponent pairs directly.  :class:`RingElement` stays the exact rational
+algebra for the span and multiplier checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     BadPrime,
@@ -65,9 +70,6 @@ class SchurPresentation:
 
     def has_class(self, c: Iterable[GroupElement]) -> bool:
         return frozenset(self.group.element(*g) for g in c) in set(self.classes)
-
-    def class_sum(self, c: frozenset) -> RingElement:
-        return simple_quantity(self.group, c)
 
     def covered_elements(self) -> frozenset:
         return frozenset(self._member_class)
@@ -160,7 +162,8 @@ class VerificationReport:
 
 
 def check_partition(P: SchurPresentation) -> None:
-    """Raise MalformedPartition on empty classes, overlaps, or gaps."""
+    """Raise MalformedPartition on empty classes, overlaps, gaps, or elements
+    outside the window."""
     total = 0
     for c in P.classes:
         if not c:
@@ -171,6 +174,11 @@ def check_partition(P: SchurPresentation) -> None:
     if P.group.is_infinite:
         if P.window < 1:
             raise MalformedPartition("windowed presentation needs window >= 1")
+        outside = [g for g in P._member_class if abs(g.z_exp) > P.window]
+        if outside:
+            raise MalformedPartition(
+                f"{format_element(min(outside))} lies outside window {P.window}"
+            )
         universe = P.group.window_elements(P.window)
     else:
         universe = P.group.elements()
@@ -194,6 +202,61 @@ def _checkable_pairs(P: SchurPresentation) -> Iterator[tuple[frozenset, frozense
                 yield c, d
 
 
+def class_product(
+    c: Iterable[GroupElement], d: Iterable[GroupElement], group: GroupDescriptor
+) -> dict:
+    """The product of the class sums of c and d, as counts per element.
+
+    Keys are reduced ``(z, a)`` tuples, which hash and compare equal to
+    :class:`GroupElement`; the count of g is the number of pairs x in c,
+    y in d with xy = g.
+    """
+    n, m = group.free_order, group.torsion_order
+    counts: dict = {}
+    get = counts.get
+    for gz, ga in c:
+        for hz, ha in d:
+            k = ((gz + hz) % n if n else gz + hz, (ga + ha) % m)
+            counts[k] = get(k, 0) + 1
+    return counts
+
+
+def constant_on(prod: Mapping, cls: Iterable[GroupElement]) -> bool:
+    """Whether prod, which stores no zero coefficients, is constant on cls."""
+    return len(set(map(prod.get, cls))) <= 1
+
+
+def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
+    """True when elems is exactly a union of classes; lookup maps element -> class."""
+    remaining = set(elems)
+    while remaining:
+        c = lookup.get(next(iter(remaining)))
+        if c is None or not c <= remaining:
+            return False
+        remaining -= c
+    return True
+
+
+def _group_by_value(coeffs: Mapping) -> list[tuple]:
+    """The level sets of a coefficient map, as (value, elements) by ascending value."""
+    by_value: dict = {}
+    for g, v in coeffs.items():
+        by_value.setdefault(v, set()).add(g)
+    return [(v, frozenset(by_value[v])) for v in sorted(by_value)]
+
+
+def _report(P: SchurPresentation, pairs: int, witness: Witness | None = None) -> VerificationReport:
+    """Invalid when there is a witness, else valid (up to the window for infinite G)."""
+    infinite = P.group.is_infinite
+    if witness is not None:
+        verdict = INVALID
+    else:
+        verdict = VALID_UP_TO_WINDOW if infinite else VALID
+    return VerificationReport(
+        verdict, pairs, effective_window=P.window if infinite else None, witness=witness
+    )
+
+
 def verify_axioms(P: SchurPresentation) -> VerificationReport:
     """Check the defining axioms: identity class, star closure, product closure.
 
@@ -202,20 +265,10 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
     order, so the witness is the least one.
     """
     check_partition(P)
-    infinite = P.group.is_infinite
-
-    def report(verdict, pairs, witness=None):
-        return VerificationReport(
-            verdict,
-            pairs,
-            effective_window=P.window if infinite else None,
-            witness=witness,
-        )
-
     identity_class = P.class_of(P.group.identity)
     if identity_class != frozenset([P.group.identity]):
-        return report(
-            INVALID,
+        return _report(
+            P,
             0,
             Witness(
                 "identity-class",
@@ -229,8 +282,8 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
     for c in P.classes:
         c_star = frozenset(P.group.inverse(g) for g in c)
         if c_star not in class_set:
-            return report(
-                INVALID,
+            return _report(
+                P,
                 0,
                 Witness(
                     "star-closure",
@@ -240,20 +293,20 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
                 ),
             )
 
+    member = P._member_class
     pairs = 0
     for c, d in _checkable_pairs(P):
-        product = P.class_sum(c) * P.class_sum(d)
+        product = class_product(c, d, P.group)
         pairs += 1
         seen: set[frozenset] = set()
-        for g in sorted(product.support()):
-            e = P.class_of(g)
+        for g in sorted(product):
+            e = member.get(g)
             if e is None or e in seen:
                 continue
             seen.add(e)
-            values = {product.coeff(h) for h in e}
-            if len(values) > 1:
-                return report(
-                    INVALID,
+            if not constant_on(product, e):
+                return _report(
+                    P,
                     pairs,
                     Witness(
                         "product-closure",
@@ -262,7 +315,7 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
                         f"product is not constant on class {_fmt_class(e)}",
                     ),
                 )
-    return report(VALID_UP_TO_WINDOW if infinite else VALID, pairs)
+    return _report(P, pairs)
 
 
 def _fmt_class(c: Iterable[GroupElement]) -> str:
@@ -271,14 +324,7 @@ def _fmt_class(c: Iterable[GroupElement]) -> str:
 
 def is_sset(P: SchurPresentation, elems: Iterable[GroupElement]) -> bool:
     """True when the set is exactly a union of classes of P."""
-    remaining = {P.group.element(*g) for g in elems}
-    while remaining:
-        g = next(iter(remaining))
-        c = P.class_of(g)
-        if c is None or not c <= remaining:
-            return False
-        remaining -= c
-    return True
+    return is_union({P.group.element(*g) for g in elems}, P._member_class)
 
 
 def verify_wielandt(P: SchurPresentation) -> VerificationReport:
@@ -290,19 +336,9 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
     :func:`verify_axioms`.
     """
     check_partition(P)
-    infinite = P.group.is_infinite
-
-    def report(verdict, pairs, witness=None):
-        return VerificationReport(
-            verdict,
-            pairs,
-            effective_window=P.window if infinite else None,
-            witness=witness,
-        )
-
     if not is_sset(P, [P.group.identity]):
-        return report(
-            INVALID,
+        return _report(
+            P,
             0,
             Witness(
                 "identity-class",
@@ -315,8 +351,8 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
     for c in P.classes:
         c_star = frozenset(P.group.inverse(g) for g in c)
         if not is_sset(P, c_star):
-            return report(
-                INVALID,
+            return _report(
+                P,
                 0,
                 Witness(
                     "star-closure",
@@ -326,17 +362,14 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
                 ),
             )
 
+    member = P._member_class
     pairs = 0
     for c, d in _checkable_pairs(P):
-        product = P.class_sum(c) * P.class_sum(d)
         pairs += 1
-        by_value: dict[Fraction, set] = {}
-        for g, v in product.terms().items():
-            by_value.setdefault(v, set()).add(g)
-        for v in sorted(by_value):
-            if not is_sset(P, by_value[v]):
-                return report(
-                    INVALID,
+        for v, part in _group_by_value(class_product(c, d, P.group)):
+            if not is_union(part, member):
+                return _report(
+                    P,
                     pairs,
                     Witness(
                         "product-closure",
@@ -345,7 +378,7 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
                         f"coefficient level set for value {v} is not an S-set",
                     ),
                 )
-    return report(VALID_UP_TO_WINDOW if infinite else VALID, pairs)
+    return _report(P, pairs)
 
 
 # -- span membership and S-subgroups -----------------------------------------
@@ -368,12 +401,8 @@ def level_sets(alpha: RingElement, P: SchurPresentation) -> list[tuple[Fraction,
     raised when alpha is not in the span of P's class sums.
     """
     _require_in_span(alpha, P)
-    by_value: dict[Fraction, set] = {}
-    for g, v in alpha.terms().items():
-        by_value.setdefault(v, set()).add(g)
     out = []
-    for v in sorted(by_value, reverse=True):
-        part = frozenset(by_value[v])
+    for v, part in reversed(_group_by_value(alpha.terms())):
         if not is_sset(P, part):  # cannot happen once constancy holds
             raise NotInSpan(f"level set for {v} is not a union of classes")
         out.append((v, part))
@@ -535,17 +564,10 @@ def frobenius_closure_holds(P: SchurPresentation, k: int) -> tuple[bool, str]:
             if reach > P.window:
                 continue
         image = simple_quantity(G, c).frobenius(k)
-        for _, part in _group_by_value(image):
+        for _, part in _group_by_value(image.terms()):
             if not is_sset(P, part):
                 return False, f"class {_fmt_class(c)} breaks closure under power {k}"
     return True, f"all in-window classes closed under power {k}"
-
-
-def _group_by_value(alpha: RingElement):
-    by_value: dict[Fraction, set] = {}
-    for g, v in alpha.terms().items():
-        by_value.setdefault(v, set()).add(g)
-    return sorted((v, frozenset(s)) for v, s in by_value.items())
 
 
 def torsion_subgroup_holds(P: SchurPresentation) -> tuple[bool, str]:

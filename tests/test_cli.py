@@ -85,6 +85,25 @@ class TestConstructVerifyClassify:
         code, _, _ = invoke(capsys, "verify", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "classify", "check-lemmas"])
+    def test_missing_file_exit_two(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.json")
+        code, out, _ = invoke(capsys, "--json", command, missing)
+        assert code == 2
+        assert "missing.json" in json.loads(out)["error"]
+        code, out, _ = invoke(capsys, command, missing)
+        assert code == 2 and out.startswith("malformed:")
+
+    def test_outside_window_exit_two(self, capsys, tmp_path):
+        classes = [[[0, i]] for i in range(3)] + [[[k, i]] for k in (1, -1) for i in range(3)]
+        data = {"group": {"free": "Z", "torsion": 3}, "window": 1,
+                "classes": classes + [[[5, 0]], [[-5, 0]]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        for command in ("verify", "check-lemmas"):
+            code, out, _ = invoke(capsys, "--json", command, str(path))
+            assert code == 2 and "outside window" in json.loads(out)["error"]
+
     def test_classify_window_too_small_exit_three(self, capsys, tmp_path):
         _, out, _ = invoke(capsys, "construct", "--kind", "discrete", "--window", "2")
         path = tmp_path / "small.json"

@@ -1,0 +1,162 @@
+"""The integer class-product kernel and the verifier reports built on it.
+
+``class_product`` is checked against the exact group-ring product, which stays
+the reference.  The golden reports (verdict, checked pairs, witness) were
+recorded from the group-ring product path that the kernel replaced, on
+star-closed perturbations of valid rings: two class pairs at one level are
+merged, so the product-closure witness lands in the middle of the scan.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from sring import (
+    GroupDescriptor,
+    GroupElement,
+    SchurPresentation,
+    discrete,
+    named_automorphism,
+    orbit_ring,
+    simple_quantity,
+    standard_wedge,
+    verify_axioms,
+    verify_wielandt,
+)
+from sring.schur import class_product
+
+G = GroupDescriptor(0, 3)
+
+# Z x Z_3, Z x Z_1, Z_1 x Z_n and Z_n x Z_m
+KERNEL_GROUPS = (
+    G,
+    GroupDescriptor(0, 1),
+    GroupDescriptor(1, 7),
+    GroupDescriptor(4, 6),
+    GroupDescriptor(3, 3),
+)
+
+
+@st.composite
+def class_pairs(draw):
+    group = draw(st.sampled_from(KERNEL_GROUPS))
+    if group.is_infinite:
+        z = st.integers(min_value=-6, max_value=6)
+    else:
+        z = st.integers(min_value=0, max_value=group.free_order - 1)
+    elems = st.builds(GroupElement, z, st.integers(min_value=0, max_value=group.torsion_order - 1))
+    c = draw(st.frozensets(elems, max_size=8))
+    d = draw(st.frozensets(elems, max_size=8))
+    return group, c, d
+
+
+class TestClassProduct:
+    @given(class_pairs())
+    @settings(max_examples=200)
+    def test_matches_group_ring_product(self, pair):
+        group, c, d = pair
+        expected = (simple_quantity(group, c) * simple_quantity(group, d)).terms()
+        assert class_product(c, d, group) == expected
+
+    def test_counts_are_plain_ints_on_reduced_keys(self):
+        Z4xZ6 = GroupDescriptor(4, 6)
+        c = [GroupElement(3, 5), GroupElement(1, 1)]
+        prod = class_product(c, c, Z4xZ6)
+        assert prod == {(2, 4): 1, (0, 0): 2, (2, 2): 1}
+        assert all(type(v) is int for v in prod.values())
+
+
+def _star(group, cls):
+    return frozenset(group.inverse(g) for g in cls)
+
+
+def _merge(P, c1, c2):
+    """Merge two classes and, separately, their stars; the result stays star-closed."""
+    drop = {c1, c2, _star(P.group, c1), _star(P.group, c2)}
+    merged = {c1 | c2, _star(P.group, c1) | _star(P.group, c2)}
+    kept = [c for c in P.classes if c not in drop] + sorted(merged, key=sorted)
+    return SchurPresentation(P.group, kept, window=P.window)
+
+
+def _perturb(P, level, pick):
+    """Merge two class pairs at the first level >= level that has two to merge."""
+    for k in range(level, P.window + 1):
+        at_k = [c for c in P.classes if max(abs(g.z_exp) for g in c) == k
+                and max(g.z_exp for g in c) == k]
+        pairs = [(c1, c2) for i, c1 in enumerate(at_k) for c2 in at_k[i + 1:]
+                 if c2 != _star(P.group, c1)
+                 and (_star(P.group, c1) == c1) == (_star(P.group, c2) == c2)]
+        if pairs:
+            return _merge(P, *pairs[pick % len(pairs)])
+    raise ValueError("no level has two classes to merge")
+
+
+def _cases():
+    auto = lambda name: named_automorphism(name, G)
+    E = GroupElement
+    d16 = discrete(G, 16)
+    psi16 = orbit_ring(G, [auto("psi")], 16)
+    xi14 = orbit_ring(G, [auto("xi")], 14)
+    pair16 = orbit_ring(G, [auto("delta"), auto("xi")], 16)
+    wedge12 = standard_wedge(G, 3, "discrete", "discrete", 12)
+    z12, z2z6 = discrete(GroupDescriptor(1, 12)), discrete(GroupDescriptor(2, 6))
+    return {
+        "discrete-16": d16,
+        "discrete-16-perturbed@6a": _perturb(d16, 6, 0),
+        "discrete-16-perturbed@6b": _perturb(d16, 6, 5),
+        "discrete-16-perturbed@1": _perturb(d16, 1, 2),
+        "psi-16": psi16,
+        "psi-16-perturbed@6": _perturb(psi16, 6, 1),
+        "psi-16-perturbed@11": _perturb(psi16, 11, 0),
+        "symmetric-14": xi14,
+        "symmetric-14-perturbed@5": _perturb(xi14, 5, 0),
+        "symmetric-14-perturbed@9": _perturb(xi14, 9, 3),
+        "delta-xi-16-perturbed@7": _perturb(pair16, 7, 0),
+        "wedge-12-perturbed@4": _perturb(wedge12, 4, 0),
+        "Z12-merged": _merge(z12, frozenset({E(0, 2)}), frozenset({E(0, 5)})),
+        "Z2xZ6-merged": _merge(z2z6, frozenset({E(1, 1)}), frozenset({E(0, 4)})),
+    }
+
+
+# name -> (verify_axioms report, verify_wielandt report), as sorted-key JSON
+GOLDEN = {
+    'discrete-16': ('{"checked_pairs": 2478, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 2478, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}'),
+    'discrete-16-perturbed@6a': ('{"checked_pairs": 256, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a^2}", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 0]]}}',
+        '{"checked_pairs": 256, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 0]]}}'),
+    'discrete-16-perturbed@6b': ('{"checked_pairs": 257, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6*a, z^-6*a^2}", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 1]]}}',
+        '{"checked_pairs": 257, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 1]]}}'),
+    'discrete-16-perturbed@1': ('{"checked_pairs": 579, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-1*a, z^-1*a^2}", "kind": "product-closure", "left": [[-8, 0]], "right": [[7, 1]]}}',
+        '{"checked_pairs": 579, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-8, 0]], "right": [[7, 1]]}}'),
+    'psi-16': ('{"checked_pairs": 1107, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 1107, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}'),
+    'psi-16-perturbed@6': ('{"checked_pairs": 121, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a, z^-6*a^2}", "kind": "product-closure", "left": [[-11, 0], [-11, 1]], "right": [[5, 0], [5, 2]]}}',
+        '{"checked_pairs": 121, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0], [-11, 1]], "right": [[5, 0], [5, 2]]}}'),
+    'psi-16-perturbed@11': ('{"checked_pairs": 47, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-11, z^-11*a, z^-11*a^2}", "kind": "product-closure", "left": [[-13, 0], [-13, 2]], "right": [[2, 0], [2, 2]]}}',
+        '{"checked_pairs": 47, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-13, 0], [-13, 2]], "right": [[2, 0], [2, 2]]}}'),
+    'symmetric-14': ('{"checked_pairs": 507, "effective_window": 14, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 507, "effective_window": 14, "verdict": "valid-up-to-window", "witness": null}'),
+    'symmetric-14-perturbed@5': ('{"checked_pairs": 123, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-5, z^-5*a, z^5, z^5*a^2}", "kind": "product-closure", "left": [[-9, 0], [9, 0]], "right": [[-4, 0], [4, 0]]}}',
+        '{"checked_pairs": 123, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-9, 0], [9, 0]], "right": [[-4, 0], [4, 0]]}}'),
+    'symmetric-14-perturbed@9': ('{"checked_pairs": 49, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-9, z^-9*a, z^9, z^9*a^2}", "kind": "product-closure", "left": [[-11, 0], [11, 0]], "right": [[-2, 0], [2, 0]]}}',
+        '{"checked_pairs": 49, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0], [11, 0]], "right": [[-2, 0], [2, 0]]}}'),
+    'delta-xi-16-perturbed@7': ('{"checked_pairs": 63, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-7, z^-7*a, z^-7*a^2, z^7, z^7*a, z^7*a^2}", "kind": "product-closure", "left": [[-11, 0], [-11, 2], [11, 0], [11, 1]], "right": [[-4, 0], [-4, 1], [4, 0], [4, 2]]}}',
+        '{"checked_pairs": 63, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0], [-11, 2], [11, 0], [11, 1]], "right": [[-4, 0], [-4, 1], [4, 0], [4, 2]]}}'),
+    'wedge-12-perturbed@4': ('{"checked_pairs": 32, "effective_window": 12, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a^2}", "kind": "product-closure", "left": [[-9, 0]], "right": [[3, 0]]}}',
+        '{"checked_pairs": 32, "effective_window": 12, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-9, 0]], "right": [[3, 0]]}}'),
+    'Z12-merged': ('{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "product is not constant on class {a^2, a^5}", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}',
+        '{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}'),
+    'Z2xZ6-merged': ('{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "product is not constant on class {a^2, z*a^5}", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}',
+        '{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}'),
+}
+
+
+class TestGoldenReports:
+    def test_cases_are_pinned(self):
+        assert set(_cases()) == set(GOLDEN)
+
+    def test_reports_match(self):
+        for name, P in _cases().items():
+            axioms, wielandt = GOLDEN[name]
+            assert json.dumps(verify_axioms(P).to_json(), sort_keys=True) == axioms, name
+            assert json.dumps(verify_wielandt(P).to_json(), sort_keys=True) == wielandt, name

@@ -88,6 +88,16 @@ class TestVerification:
         with pytest.raises(MalformedPartition):
             verify_axioms(SchurPresentation(Z3, [[(0, 0)], [(0, 1)]]))
 
+    def test_malformed_outside_window(self, G):
+        # every element of the window is covered, plus {z^5} and {z^-5} beyond it
+        classes = [[(0, 0)], [(0, 1)], [(0, 2)]]
+        classes += [[(k, i)] for k in (1, -1) for i in range(3)]
+        classes += [[(5, 0)], [(-5, 0)]]
+        P = SchurPresentation(G, classes, window=1)
+        for verify in (verify_axioms, verify_wielandt):
+            with pytest.raises(MalformedPartition, match="outside window 1"):
+                verify(P)
+
     def test_malformed_overlap(self, Z3):
         with pytest.raises(MalformedPartition):
             verify_axioms(
