@@ -1,9 +1,12 @@
 """Command-line interface: verify, construct, classify, enumerate, check-lemmas.
 
-Exit codes: 0 success (verify: Valid/ValidUpToWindow), 1 invalid presentation
-or unclassifiable input, 2 malformed input, 3 window too small.  With
-``--json`` every stdout line is a JSON document; otherwise output is a small
-human-readable table.
+Exit codes: 0 success (verify: valid or valid-up-to-window), 1 invalid
+presentation or unclassifiable input, 2 malformed input (argparse exits 2 on a
+bad command line), 3 window too small.  Only :func:`run` maps exceptions to
+them, printing ``{"error": ...}`` or ``<label>: <message>`` on stdout.  JSON
+input is read strictly: a count, exponent or window must be a JSON integer.
+With ``--json`` every stdout line is a JSON document; otherwise output is a
+small human-readable table.
 
 Configuration precedence for defaults (window, bounds): command-line flag,
 then the SRING_* environment variable, then a key=value config file passed
@@ -18,6 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from .classify import (
     RECOMMENDED_WINDOW,
@@ -27,16 +31,11 @@ from .classify import (
 )
 from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
 from .enumeration import enumerate_finite, enumerate_windowed, is_traditional
-from .errors import (
-    BoundExceeded,
-    MalformedPartition,
-    SchurError,
-    Unclassifiable,
-    WindowTooSmall,
-)
-from .groups import GroupDescriptor, automorphism_from_json
+from .errors import SchurError, Unclassifiable, WindowTooSmall
+from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
     SchurPresentation,
+    check_partition,
     class_shape_holds,
     frobenius_closure_holds,
     multiplier_sets_hold,
@@ -50,6 +49,14 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MALFORMED = 2
 EXIT_WINDOW = 3
+
+# exception type -> (exit code, label of the human error line); first match wins
+_MAPPED = (SchurError, ValueError, KeyError, OSError)
+_FAILURES = (
+    (WindowTooSmall, EXIT_WINDOW, "window too small"),
+    (Unclassifiable, EXIT_INVALID, "unclassifiable"),
+    (_MAPPED, EXIT_MALFORMED, "malformed"),
+)
 
 _DEFAULTS = {
     "window": RECOMMENDED_WINDOW,
@@ -85,15 +92,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     resolved = {}
     for key, default in _DEFAULTS.items():
         flag = getattr(args, key, None)
-        env = os.environ.get(f"SRING_{key.upper()}")
-        if flag is not None:
-            resolved[key] = int(flag)
-        elif env is not None:
-            resolved[key] = int(env)
-        elif key in file_values:
-            resolved[key] = int(file_values[key])
-        else:
-            resolved[key] = default
+        fallback = os.environ.get(f"SRING_{key.upper()}", file_values.get(key, default))
+        resolved[key] = int(flag if flag is not None else fallback)
     return Settings(**resolved)
 
 
@@ -113,16 +113,16 @@ def parse_group(text: str) -> GroupDescriptor:
     return GroupDescriptor(0 if first is None else int(first), int(second))
 
 
-def _read_presentation(source: str) -> SchurPresentation:
+def _load_json(text: str):
     try:
-        if source == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(source, encoding="utf-8") as fh:
-                raw = fh.read()
-    except OSError as ex:
-        raise ValueError(f"cannot read {source}: {ex.strerror or ex}") from None
-    return SchurPresentation.from_json(json.loads(raw))
+        return json.loads(text)
+    except RecursionError:  # json.loads recurses once per level of nesting
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def _read_presentation(source: str) -> SchurPresentation:
+    raw = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    return SchurPresentation.from_json(_load_json(raw))
 
 
 def _emit(data: dict, as_json: bool, human: str) -> None:
@@ -136,14 +136,7 @@ def _emit(data: dict, as_json: bool, human: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        P = _read_presentation(args.presentation)
-        if args.window is not None and P.group.is_infinite:
-            P = SchurPresentation(P.group, P.classes, window=int(args.window), tag=P.tag)
-        report = verify_axioms(P)
-    except (MalformedPartition, json.JSONDecodeError, KeyError, ValueError) as ex:
-        _emit({"error": str(ex)}, args.json, f"malformed: {ex}")
-        return EXIT_MALFORMED
+    report = verify_axioms(_read_presentation(args.presentation))
     human = f"verdict: {report.verdict} (checked {report.checked_pairs} class pairs)"
     if report.witness:
         human += f"\nwitness [{report.witness.kind}]: {report.witness.detail}"
@@ -153,52 +146,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    params = json.loads(args.params) if args.params else {}
+    params = json_value(_load_json(args.params or "{}"), dict, "--params")
     window = settings.window
-    group = parse_group(params.get("group", "ZxZ3"))
-    try:
-        if args.kind == "discrete":
-            P = discrete(group, window)
-        elif args.kind == "trivial":
-            P = trivial(group)
-        elif args.kind == "orbit":
-            gens = [automorphism_from_json(g, group) for g in params.get("gens", [])]
-            P = orbit_ring(group, gens, window, bound=settings.orbit_bound)
-        elif args.kind == "tensor":
-            left = SchurPresentation.from_json(params["left"])
-            right = SchurPresentation.from_json(params["right"])
-            P = tensor(left, right)
-        elif args.kind == "wedge":
-            P = standard_wedge(
-                group,
-                int(params.get("step", 0)),
-                params.get("inner", "discrete"),
-                params.get("outer", "discrete"),
-                window,
-            )
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(args.kind)
-    except (SchurError, KeyError, ValueError) as ex:
-        _emit({"error": str(ex)}, args.json, f"construction failed: {ex}")
-        return EXIT_MALFORMED
+    group = parse_group(json_field(params, "group", str, "ZxZ3"))
+    if args.kind == "discrete":
+        P = discrete(group, window)
+    elif args.kind == "trivial":
+        P = trivial(group)
+    elif args.kind == "orbit":
+        gens = [automorphism_from_json(g, group) for g in json_field(params, "gens", list, [])]
+        P = orbit_ring(group, gens, window, bound=settings.orbit_bound)
+    elif args.kind == "tensor":
+        left = SchurPresentation.from_json(json_field(params, "left", dict))
+        right = SchurPresentation.from_json(json_field(params, "right", dict))
+        P = tensor(left, right)
+    else:  # wedge; argparse restricts the choices
+        P = standard_wedge(
+            group,
+            json_field(params, "step", int, 0),
+            json_field(params, "inner", str, "discrete"),
+            json_field(params, "outer", str, "discrete"),
+            window,
+        )
     print(json.dumps(P.to_json(), sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        P = _read_presentation(args.presentation)
-    except (json.JSONDecodeError, KeyError, ValueError) as ex:
-        _emit({"error": str(ex)}, args.json, f"malformed: {ex}")
-        return EXIT_MALFORMED
+    P = _read_presentation(args.presentation)
+    check_partition(P)
     try:
         descriptor = classify(P)
-    except WindowTooSmall as ex:
-        _emit({"error": str(ex)}, args.json, f"window too small: {ex}")
-        return EXIT_WINDOW
-    except (Unclassifiable, SchurError, ValueError) as ex:
-        _emit({"error": str(ex)}, args.json, f"unclassifiable: {ex}")
-        return EXIT_INVALID
+    except WindowTooSmall:
+        raise
+    except (SchurError, ValueError) as ex:  # a partition that fits no family
+        raise Unclassifiable(str(ex)) from ex
     if args.resynthesize:
         rebuilt = resynthesize(descriptor, P.window)
         print(json.dumps(rebuilt.to_json(), sort_keys=True))
@@ -209,22 +191,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    try:
-        if args.windowed is not None:
-            presentations = enumerate_windowed(int(args.windowed), projection=args.projection)
-            label = f"ZxZ3 window {args.windowed}"
-            histogram: dict[str, int] = {}
-        else:
-            group = parse_group(args.group)
-            presentations = enumerate_finite(group, bound=settings.finite_bound)
-            label = args.group
-            histogram = {}
-            for P in presentations:
-                kind = is_traditional(P).kind
-                histogram[kind] = histogram.get(kind, 0) + 1
-    except (BoundExceeded, SchurError, ValueError) as ex:
-        _emit({"error": str(ex)}, args.json, f"enumeration failed: {ex}")
-        return EXIT_MALFORMED
+    if args.windowed is not None:
+        presentations = enumerate_windowed(args.windowed, projection=args.projection)
+        label = f"ZxZ3 window {args.windowed}"
+        histogram: dict[str, int] = {}
+    else:
+        group = parse_group(args.group)
+        presentations = enumerate_finite(group, bound=settings.finite_bound)
+        label = args.group
+        histogram = {}
+        for P in presentations:
+            kind = is_traditional(P).kind
+            histogram[kind] = histogram.get(kind, 0) + 1
     for P in presentations:
         print(json.dumps(P.to_json(), sort_keys=True))
     summary = {"group": label, "count": len(presentations), "traditionality": histogram}
@@ -238,12 +216,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
-    try:
-        P = _read_presentation(args.presentation)
-        report = verify_axioms(P)
-    except (MalformedPartition, json.JSONDecodeError, KeyError, ValueError) as ex:
-        _emit({"error": str(ex)}, args.json, f"malformed: {ex}")
-        return EXIT_MALFORMED
+    P = _read_presentation(args.presentation)
+    report = verify_axioms(P)
     rows: list[tuple[str, bool, str]] = []
     rows.append(("axioms", report.ok, f"verdict {report.verdict}"))
     wielandt = verify_wielandt(P)
@@ -292,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the Schur-ring axioms of a presentation")
     p_verify.add_argument("presentation", help="presentation JSON file, or - for stdin")
-    p_verify.add_argument("--window", type=int, default=None, help="override the window")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_construct = sub.add_parser("construct", help="build a presentation from a construction")
@@ -330,9 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _MAPPED as ex:
+        code, label = next(row[1:] for row in _FAILURES if isinstance(ex, row[0]))
+        _emit({"error": str(ex)}, args.json, f"{label}: {ex}")
+        return code
 
 
 def main() -> None:  # console entry point

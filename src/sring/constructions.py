@@ -270,6 +270,8 @@ def standard_wedge(
     """
     if not group.is_infinite:
         raise InfiniteGroup("standard wedges are built over the infinite group")
+    if step < 0:
+        raise BadTower(f"step must be 0 or at least 2, got {step}")
     K = Subgroup.torsion(group)
     if step == 0:
         H = K

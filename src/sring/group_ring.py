@@ -54,10 +54,6 @@ class RingElement:
     def support(self) -> frozenset[GroupElement]:
         return frozenset(self._terms)
 
-    def max_z(self) -> int:
-        """Largest |z_exp| in the support (0 for the zero element)."""
-        return max((abs(g.z_exp) for g in self._terms), default=0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

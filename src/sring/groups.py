@@ -113,9 +113,43 @@ class GroupDescriptor:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "GroupDescriptor":
-        free = data["free"]
-        return cls(0 if free == "Z" else int(free), int(data["torsion"]))
+    def from_json(cls, data) -> "GroupDescriptor":
+        data = json_value(data, dict, "group")
+        free = 0 if data.get("free") == "Z" else json_field(data, "free", int)
+        return cls(free, json_field(data, "torsion", int))
+
+
+# -- JSON input: shapes are checked, nothing is coerced -----------------------
+
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+_REQUIRED = object()
+
+
+def _is_json(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind``; an integer is never a bool, 1.0 or "1"."""
+    if not _is_json(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def json_field(data: dict, key: str, kind: type, default=_REQUIRED):
+    """Field ``key`` of ``data`` checked by :func:`json_value`, or ``default`` if absent."""
+    if key in data:
+        return json_value(data[key], kind, f"field {key!r}")
+    if default is _REQUIRED:
+        raise ValueError(f"missing field {key!r}")
+    return default
+
+
+def json_int_pair(value, what: str) -> tuple[int, int]:
+    """``value`` if it is ``[x, y]`` with two JSON integers, as the pair (x, y)."""
+    if not (_is_json(value, list) and len(value) == 2 and all(_is_json(x, int) for x in value)):
+        raise ValueError(f"{what} must be a pair of integers, got {value!r:.40}")
+    return value[0], value[1]
 
 
 # -- text form --------------------------------------------------------------
@@ -306,10 +340,12 @@ def named_automorphism(name: str, group: GroupDescriptor) -> Automorphism:
 
 
 def automorphism_from_json(data, group: GroupDescriptor) -> Automorphism:
+    """An alias such as "psi", or ``{"z": [j, e], "a": u}`` for z -> a^j z^e, a -> a^u."""
     if isinstance(data, str):
         return named_automorphism(data, group)
-    j, e = data["z"]
-    return Automorphism(group, j, e, data["a"])
+    data = json_value(data, dict, "automorphism")
+    j, e = json_int_pair(json_field(data, "z", list), "field 'z'")
+    return Automorphism(group, j, e, json_field(data, "a", int))
 
 
 def automorphism_sort_key(phi: Automorphism) -> tuple:

@@ -31,6 +31,9 @@ from .groups import (
     QuotientMap,
     Subgroup,
     format_element,
+    json_field,
+    json_int_pair,
+    json_value,
 )
 
 BasicSet = frozenset
@@ -68,12 +71,6 @@ class SchurPresentation:
     def class_of(self, g: GroupElement) -> frozenset | None:
         return self._member_class.get(self.group.element(*g))
 
-    def has_class(self, c: Iterable[GroupElement]) -> bool:
-        return frozenset(self.group.element(*g) for g in c) in set(self.classes)
-
-    def covered_elements(self) -> frozenset:
-        return frozenset(self._member_class)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SchurPresentation)
@@ -84,9 +81,6 @@ class SchurPresentation:
 
     def __hash__(self) -> int:
         return hash((self.group, self.window, self.classes))
-
-    def same_classes(self, other: "SchurPresentation") -> bool:
-        return self.group == other.group and self.classes == other.classes
 
     def __repr__(self) -> str:
         kind = "finite" if not self.group.is_infinite else f"window={self.window}"
@@ -107,12 +101,15 @@ class SchurPresentation:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SchurPresentation":
-        group = GroupDescriptor.from_json(data["group"])
+    def from_json(cls, data) -> "SchurPresentation":
+        """Read :meth:`to_json` output; ValueError on any other shape (1.9 is not 1)."""
+        data = json_value(data, dict, "presentation")
+        group = GroupDescriptor.from_json(json_field(data, "group", dict))
         classes = [
-            [GroupElement(int(z), int(a)) for z, a in c] for c in data["classes"]
+            [json_int_pair(g, "class element") for g in json_value(c, list, "class")]
+            for c in json_field(data, "classes", list)
         ]
-        return cls(group, classes, window=int(data.get("window", 0)))
+        return cls(group, classes, window=json_field(data, "window", int, 0))
 
 
 # -- verification -------------------------------------------------------------
@@ -182,9 +179,9 @@ def check_partition(P: SchurPresentation) -> None:
         universe = P.group.window_elements(P.window)
     else:
         universe = P.group.elements()
-    missing = [g for g in universe if g not in P._member_class]
-    if missing:
-        raise MalformedPartition(f"group not covered, e.g. {format_element(missing[0])}")
+    missing = next((g for g in universe if g not in P._member_class), None)
+    if missing is not None:
+        raise MalformedPartition(f"group not covered, e.g. {format_element(missing)}")
 
 
 def _checkable_pairs(P: SchurPresentation) -> Iterator[tuple[frozenset, frozenset]]:
@@ -503,9 +500,7 @@ def _check_multiplier_preconditions(X: frozenset, p: int, P: SchurPresentation) 
         raise NotSSet("multiplier sets are defined for S-sets only")
 
 
-def multiplier_set(
-    X: Iterable[GroupElement], p: int, P: SchurPresentation, check_sset: bool = True
-) -> frozenset:
+def multiplier_set(X: Iterable[GroupElement], p: int, P: SchurPresentation) -> frozenset:
     """The set {x^p : x in X, |X ∩ Ex| not divisible by p}, E the p-torsion kernel.
 
     The result is an S-set whenever its elements are inside the verified
@@ -521,7 +516,7 @@ def multiplier_set(
         if len(X & coset) % p:
             result.add(G.pow(x, p))
     result = frozenset(result)
-    if check_sset and all(P.class_of(g) is not None for g in result):
+    if all(P.class_of(g) is not None for g in result):
         if not is_sset(P, result):
             raise NotSSet(
                 "multiplier set is not a union of classes; the presentation is not a Schur ring"

@@ -1,15 +1,94 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sring.cli import parse_group, run
 from sring.groups import GroupDescriptor
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one call, argparse's own exits included."""
+    try:
+        code = run(argv)
+    except SystemExit as ex:
+        code = ex.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _discrete_w1(torsion):
+    return [[[z, a]] for z in (-1, 0, 1) for a in range(torsion)]
+
+
+# Input files of the regression table; "@name" in an argv names the file.
+# "@missing" is never written, and "@deep" nests deeper than the JSON parser
+# can follow.  The Z x Z_1 file is a valid window-1 ring, so that a bool,
+# float or string window or torsion is the only fault in it, and with a
+# window of 10^12 its gap must be found without listing the window.
+ZZ1 = {"group": {"free": "Z", "torsion": 1}, "window": 1, "classes": _discrete_w1(1)}
+FLOAT_EXPONENT = {
+    "group": {"free": "Z", "torsion": 3},
+    "window": 1,
+    "classes": [[[1.9, 0]] if c == [[1, 0]] else c for c in _discrete_w1(3)],
+}
+OUT_OF_WINDOW = {
+    "group": {"free": "Z", "torsion": 3},
+    "window": 3,
+    "classes": [[[z, a]] for z in range(-3, 4) for a in range(3)] + [[[5, 0]], [[-5, 0]]],
+}
+INPUTS = {
+    "array": [],
+    "group5": {"group": 5, "window": 1, "classes": []},
+    "classes5": {"group": {"free": "Z", "torsion": 3}, "window": 1, "classes": 5},
+    "float_exponent": FLOAT_EXPONENT,
+    "out_of_window": OUT_OF_WINDOW,
+    "huge_window": {**ZZ1, "window": 10**12},
+    **{f"window_{name}": {**ZZ1, "window": value}
+       for name, value in (("bool", True), ("float", 1.0), ("string", "1"))},
+    **{f"torsion_{name}": {**ZZ1, "group": {"free": "Z", "torsion": value}}
+       for name, value in (("bool", True), ("float", 1.0), ("string", "1"))},
+}
+
+CONSTRUCT = ["construct", "--kind", "discrete"]
+MALFORMED = [
+    pytest.param(CONSTRUCT + ["--params", "{bad"], {}, id="params-not-json"),
+    pytest.param(CONSTRUCT + ["--params", "[]"], {}, id="params-array"),
+    pytest.param(CONSTRUCT + ["--params", '{"group":"Z0"}'], {}, id="params-group-Z0"),
+    pytest.param(CONSTRUCT + ["--params", '{"group":5}'], {}, id="params-group-int"),
+    pytest.param(["construct", "--kind", "wedge", "--params", '{"step":2.5}'], {},
+                 id="params-step-float"),
+    pytest.param(["construct", "--kind", "wedge", "--params", '{"step":-1}'], {},
+                 id="params-step-negative"),
+    pytest.param(CONSTRUCT + ["--params", "[" * 100_000], {}, id="params-nested-too-deep"),
+    pytest.param(["construct", "--kind", "orbit", "--params", '{"gens":[5]}'], {},
+                 id="params-gens-int"),
+    pytest.param(["construct", "--kind", "orbit", "--params", '{"gens":[{"z":[1,true],"a":1}]}'],
+                 {}, id="params-gens-bool-exponent"),
+    pytest.param(["--config", "@missing"] + CONSTRUCT, {}, id="config-missing-construct"),
+    pytest.param(["--config", "@missing", "enumerate", "--group", "Z3"], {},
+                 id="config-missing-enumerate"),
+    pytest.param(CONSTRUCT, {"SRING_WINDOW": "abc"}, id="env-window"),
+    pytest.param(["enumerate", "--group", "Z3"], {"SRING_FINITE_BOUND": "abc"}, id="env-bound"),
+    *[pytest.param([*command.split(), f"@{name}"], {}, id=f"{command}-{name}")
+      for command in ("verify", "classify", "check-lemmas")
+      for name in ("array", "group5", "classes5", "float_exponent", "deep", "huge_window")],
+    *[pytest.param(["verify", f"@{field}_{kind}"], {}, id=f"verify-{field}-{kind}")
+      for field in ("window", "torsion") for kind in ("bool", "float", "string")],
+    *[pytest.param([*command.split(), "@out_of_window"], {}, id=f"{command}-out-of-window")
+      for command in ("classify", "classify --resynthesize")],
+]
 
 
 class TestParseGroup:
@@ -226,3 +305,66 @@ class TestConfigPrecedence:
     def test_default_window(self, capsys):
         _, out, _ = invoke(capsys, "construct", "--kind", "discrete")
         assert json.loads(out)["window"] == 12
+
+
+class TestInputBoundary:
+    """Malformed input exits 2 with one error line, never with a traceback."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        for name, data in INPUTS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        return lambda argv: [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a
+                             for a in argv]
+
+    @pytest.mark.parametrize("argv,env", MALFORMED)
+    def test_malformed_exits_two(self, capsys, monkeypatch, paths, argv, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = outcome(capsys, paths(argv))
+        assert (code, err) == (2, "") and out.startswith("malformed: ")
+        code, out, err = outcome(capsys, paths(["--json", *argv]))
+        assert (code, err) == (2, "") and set(json.loads(out)) == {"error"}
+
+    def test_float_exponent_is_not_truncated(self, capsys, paths):
+        code, out, _ = outcome(capsys, paths(["verify", "@float_exponent"]))
+        assert code == 2 and "[1.9, 0]" in out
+
+    def test_verify_window_flag_is_gone(self, capsys, paths):
+        code, out, err = outcome(capsys, paths(["verify", "--window", "4", "@float_exponent"]))
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+        assert "Traceback" not in err
+
+    def test_classify_checks_the_partition(self, capsys, paths):
+        code, out, _ = outcome(capsys, paths(["--json", "classify", "@out_of_window"]))
+        assert code == 2 and "outside window" in json.loads(out)["error"]
+
+    def test_classify_other_group_is_unclassifiable(self, capsys, tmp_path):
+        _, out, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z5"}')
+        path = tmp_path / "z5.json"
+        path.write_text(out)
+        code, out, _ = invoke(capsys, "classify", str(path))
+        assert code == 1 and out.startswith("unclassifiable: ")
+
+    def test_construct_window_too_small_exits_three(self, capsys):
+        code, out, _ = invoke(capsys, "--json", "construct", "--kind", "discrete", "--window", "0")
+        assert code == 3 and "window" in json.loads(out)["error"]
+
+
+class TestEntryPoint:
+    """``python -m sring.cli`` as a subprocess: main() and sys.exit included."""
+
+    @pytest.mark.parametrize(
+        "argv,stdin",
+        [
+            (["construct", "--kind", "discrete", "--params", "{bad"], ""),
+            (["--json", "verify", "-"], "[]"),
+        ],
+    )
+    def test_malformed_exits_two(self, argv, stdin):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "sring.cli", *argv], input=stdin,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout.strip()

@@ -134,6 +134,33 @@ class TestAutomorphisms:
         raw = {"z": [1, -1], "a": 1}
         assert automorphism_from_json(raw, G) == autos["rho"]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [5, [1, -1, 1], {"z": [1, -1]}, {"a": 1}, {"z": [1], "a": 1}, {"z": [1, -1.0], "a": 1},
+         {"z": [True, -1], "a": 1}, {"z": [1, -1], "a": "1"}, {"z": "1,-1", "a": 1}],
+    )
+    def test_json_shape_rejected(self, G, raw):
+        from sring.groups import automorphism_from_json
+
+        with pytest.raises(ValueError):
+            automorphism_from_json(raw, G)
+
+
+class TestDescriptorJson:
+    def test_roundtrip(self):
+        for group in (GroupDescriptor(0, 3), GroupDescriptor(4, 3), GroupDescriptor(1, 1)):
+            assert GroupDescriptor.from_json(group.to_json()) == group
+
+    @pytest.mark.parametrize(
+        "raw",
+        [5, "ZxZ3", [0, 3], {"torsion": 3}, {"free": "Z"}, {"free": "Z", "torsion": True},
+         {"free": "Z", "torsion": 3.0}, {"free": "Z", "torsion": "3"}, {"free": "4", "torsion": 3},
+         {"free": "z", "torsion": 3}, {"free": None, "torsion": 3}],
+    )
+    def test_json_shape_rejected(self, raw):
+        with pytest.raises(ValueError):
+            GroupDescriptor.from_json(raw)
+
 
 class TestOrbits:
     def test_psi_orbit_of_z(self, G, autos):

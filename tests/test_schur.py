@@ -276,6 +276,25 @@ class TestSerialization:
         again = SchurPresentation.from_json(data)
         assert again.classes == psi_ring.classes and again.window == psi_ring.window
 
+    @pytest.mark.parametrize(
+        "patch",
+        [{"window": True}, {"window": 6.0}, {"window": "6"}, {"group": 5}, {"classes": 5},
+         {"classes": [5]}, {"classes": [[5]]}, {"classes": [[[0, 0, 0]]]},
+         {"classes": [[[0.0, 0]]]}, {"classes": [[["0", 0]]]}, {"classes": [[[False, 0]]]}],
+    )
+    def test_presentation_shape_rejected(self, psi_ring, patch):
+        with pytest.raises(ValueError):
+            SchurPresentation.from_json({**psi_ring.to_json(), **patch})
+
+    @pytest.mark.parametrize("field", ["group", "classes"])
+    def test_presentation_field_required(self, psi_ring, field):
+        data = psi_ring.to_json()
+        del data[field]
+        with pytest.raises(ValueError, match=field):
+            SchurPresentation.from_json(data)
+        with pytest.raises(ValueError):
+            SchurPresentation.from_json([data])
+
     def test_classes_sorted_by_least_element(self, psi_ring):
         data = psi_ring.to_json()
         keys = [tuple(map(tuple, c)) for c in data["classes"]]
