@@ -68,6 +68,7 @@ from .schur import (
     SchurPresentation,
     VerificationReport,
     Witness,
+    class_stabilizer,
     generated_subgroup,
     is_sset,
     is_ssubgroup,

@@ -20,13 +20,15 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     Subgroup,
-    all_automorphisms,
     automorphism_from_json,
     canonical_generators,
+    json_field,
+    json_value,
 )
 from .schur import (
     SchurPresentation,
     class_shape_holds,
+    class_stabilizer,
     is_ssubgroup,
     power_in_subgroup_holds,
     quotient,
@@ -93,26 +95,27 @@ class FamilyDescriptor:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "FamilyDescriptor":
-        variant = data["variant"]
-        window = int(data.get("window", 0))
+    def from_json(cls, data) -> "FamilyDescriptor":
+        data = json_value(data, dict, "family descriptor")
+        variant = json_field(data, "variant", str)
+        window = json_field(data, "window", int, 0)
         if variant == "full":
-            return cls("full", symmetric=bool(data.get("symmetric", False)),
+            return cls("full", symmetric=json_field(data, "symmetric", bool, False),
                        confidence_window=window)
         if variant == "orbit":
             gens = tuple(
-                automorphism_from_json(g, Z_CROSS_Z3) for g in data.get("generators", [])
+                automorphism_from_json(g, Z_CROSS_Z3)
+                for g in json_field(data, "generators", list, [])
             )
             return cls("orbit", generators=gens, confidence_window=window)
         if variant == "wedge":
             inner = data.get("inner")
-            if isinstance(inner, dict):
-                inner = cls.from_json(inner)
             return cls(
                 "wedge",
-                tower_step=int(data.get("tower", {}).get("H", 0)),
-                inner=inner,
-                outer=data.get("outer", DISCRETE),
+                tower_step=json_field(json_field(data, "tower", dict, {}), "H", int, 0),
+                inner=(cls.from_json(inner) if isinstance(inner, dict)
+                       else json_field(data, "inner", str)),
+                outer=json_field(data, "outer", str, DISCRETE),
                 confidence_window=window,
             )
         raise ValueError(f"unknown variant {variant!r}")
@@ -207,14 +210,6 @@ def _detect_mode(P: SchurPresentation) -> str:
     return modes.pop()
 
 
-def _maximal_stabilizing_group(P: SchurPresentation) -> list[Automorphism]:
-    return [
-        phi
-        for phi in all_automorphisms(P.group)
-        if all(phi.apply_set(c) == c for c in P.classes)
-    ]
-
-
 def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
     """Recursive case analysis; window may be as small as 1 in recursion."""
     G = P.group
@@ -236,7 +231,7 @@ def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
         return FamilyDescriptor("wedge", tower_step=0, inner=inner, outer=mode)
 
     if degenerate == 1:
-        k_max = _maximal_stabilizing_group(P)
+        k_max = class_stabilizer(P)
         gens = canonical_generators(k_max)
         if not gens:
             return FamilyDescriptor("full", symmetric=False)

@@ -110,6 +110,8 @@ def parse_group(text: str) -> GroupDescriptor:
         if first is None:
             return GroupDescriptor(0, 1)  # plain Z
         return GroupDescriptor(1, int(first))  # cyclic Z_n as the torsion factor
+    if first is not None and int(first) == 0:  # free order 0 encodes Z; it is written "Z"
+        raise ValueError(f"free order must be positive in {text!r} (write ZxZm for Z x Z_m)")
     return GroupDescriptor(0 if first is None else int(first), int(second))
 
 

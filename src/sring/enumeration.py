@@ -8,26 +8,23 @@ their output can falsify the classifier at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from .constructions import orbit_ring
 from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     Automorphism,
     GroupDescriptor,
     GroupElement,
     Subgroup,
-    all_automorphisms,
     all_subgroups,
-    automorphism_sort_key,
     canonical_generators,
-    close_automorphisms,
-    orbit,
 )
 from .schur import (
     SchurPresentation,
     VALID,
     class_product,
+    class_stabilizer,
     constant_on,
     is_ssubgroup,
     is_union,
@@ -130,33 +127,16 @@ class TraditionalityResult:
         return self.kind
 
 
-def _automorphism_subgroups(group: GroupDescriptor) -> list[frozenset[Automorphism]]:
-    autos = [phi for phi in all_automorphisms(group) if not phi.is_identity()]
-    seen: dict[frozenset, None] = {frozenset([Automorphism.identity(group)]): None}
-    for size in range(1, len(autos) + 1):
-        for combo in combinations(autos, size):
-            seen[close_automorphisms(combo)] = None
-    return sorted(seen, key=lambda s: (len(s), sorted(map(automorphism_sort_key, s))))
-
-
-def _orbit_partition(group: GroupDescriptor, gens: Iterable[Automorphism]) -> set[frozenset]:
-    gens = list(gens)
-    classes, seen = set(), set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        orb = orbit(gens, g, bound=group.order or 0)
-        seen |= orb
-        classes.add(orb)
-    return classes
-
-
 def is_traditional(P: SchurPresentation) -> TraditionalityResult:
     """First matching family: trivial, orbit, tensor, wedge (parts recursively
     traditional), else "no".
 
-    The orbit search runs over the parametric automorphism family, which is
-    all of Aut(G) whenever the two factor orders are coprime.
+    P is an orbit ring exactly when it is the orbit partition of its own
+    class stabilizer S (the automorphisms fixing every class setwise): any
+    group A whose orbits are the classes lies in S, so every class lies in an
+    S-orbit, and every S-orbit lies in a class.  An orbit result carries the
+    canonical generators of S.  S is taken in the parametric automorphism
+    family, which is all of Aut(G) whenever the two factor orders are coprime.
     """
     G = P.group
     if G.is_infinite:
@@ -167,9 +147,9 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
     if G.order >= 2 and class_set == {frozenset([G.identity]), rest}:
         return TraditionalityResult("trivial")
 
-    for members in _automorphism_subgroups(G):
-        if _orbit_partition(G, members) == class_set:
-            return TraditionalityResult("orbit", generators=canonical_generators(members))
+    S = class_stabilizer(P)
+    if orbit_ring(G, S, bound=G.order).classes == P.classes:
+        return TraditionalityResult("orbit", generators=canonical_generators(S))
 
     subgroups = all_subgroups(G)
     proper = [H for H in subgroups if not H.is_trivial and H.order != G.order]

@@ -121,12 +121,14 @@ class GroupDescriptor:
 
 # -- JSON input: shapes are checked, nothing is coerced -----------------------
 
-_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+_JSON_KINDS = {
+    dict: "an object", list: "an array", int: "an integer", str: "a string", bool: "a boolean",
+}
 _REQUIRED = object()
 
 
 def _is_json(value, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 def json_value(value, kind: type, what: str):
@@ -375,6 +377,27 @@ def all_automorphisms(group: GroupDescriptor) -> list[Automorphism]:
     return sorted(result, key=automorphism_sort_key)
 
 
+def _closure(start, step, gens: list, bound: int, what: str) -> frozenset:
+    """Everything reached from ``start`` by repeated ``step(gen, x)``, breadth first.
+
+    Raises OrbitUnbounded once more than ``bound`` items have been reached.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen in gens:
+                y = step(gen, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if len(seen) > bound:
+                        raise OrbitUnbounded(f"{what} exceeded bound {bound}")
+        frontier = nxt
+    return frozenset(seen)
+
+
 def close_automorphisms(
     gens: Iterable[Automorphism], bound: int = 4096
 ) -> frozenset[Automorphism]:
@@ -382,21 +405,8 @@ def close_automorphisms(
     gens = list(gens)
     if not gens:
         return frozenset()
-    group = gens[0].group
-    seen = {Automorphism.identity(group)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for phi in frontier:
-            for g in gens:
-                h = g.compose(phi)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if len(seen) > bound:
-                        raise OrbitUnbounded("automorphism closure exceeded bound")
-        frontier = nxt
-    return frozenset(seen)
+    identity = Automorphism.identity(gens[0].group)
+    return _closure(identity, Automorphism.compose, gens, bound, "automorphism closure")
 
 
 def canonical_generators(members: Iterable[Automorphism]) -> tuple[Automorphism, ...]:
@@ -427,21 +437,7 @@ def orbit(
     generator here has finite order, so closing under the generators alone
     already yields the group orbit.
     """
-    gens = list(gens)
-    seen = {g}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for phi in gens:
-                y = phi.apply(x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > bound:
-                        raise OrbitUnbounded(f"orbit of {format_element(g)} exceeded bound {bound}")
-        frontier = nxt
-    return frozenset(seen)
+    return _closure(g, Automorphism.apply, list(gens), bound, f"orbit of {format_element(g)}")
 
 
 # -- subgroups ----------------------------------------------------------------

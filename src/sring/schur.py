@@ -26,10 +26,12 @@ from .errors import (
 )
 from .group_ring import CoeffFn, RingElement, simple_quantity
 from .groups import (
+    Automorphism,
     GroupDescriptor,
     GroupElement,
     QuotientMap,
     Subgroup,
+    all_automorphisms,
     format_element,
     json_field,
     json_int_pair,
@@ -413,6 +415,15 @@ def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
         if inside not in (0, len(c)):
             return False
     return True
+
+
+def class_stabilizer(P: SchurPresentation) -> list[Automorphism]:
+    """The supported automorphisms that map every class of P onto itself."""
+    return [
+        phi
+        for phi in all_automorphisms(P.group)
+        if all(phi.apply_set(c) == c for c in P.classes)
+    ]
 
 
 def generated_subgroup(alpha: RingElement, P: SchurPresentation) -> Subgroup:

@@ -225,3 +225,25 @@ class TestDescriptorJson:
         data = d.to_json()
         assert data == {"variant": "full", "symmetric": False, "window": 12}
         assert FamilyDescriptor.from_json(data) == d
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"variant": "full", "window": True},
+            {"variant": "full", "window": 1.9},
+            {"variant": "full", "window": "12"},
+            {"variant": "full", "symmetric": "no", "window": 1},
+            {"variant": "full", "symmetric": 0},
+            {"variant": "wedge", "tower": 2, "inner": "discrete", "outer": "discrete"},
+            {"variant": "wedge", "tower": {"K": 0, "H": 2.0}, "inner": "discrete"},
+            {"window": 12},
+            {"variant": 1},
+            ["full"],
+        ],
+        ids=["window-bool", "window-float", "window-string", "symmetric-string",
+             "symmetric-int", "tower-int", "tower-step-float", "no-variant", "variant-int",
+             "array"],
+    )
+    def test_malformed_json_rejected(self, data):
+        with pytest.raises(ValueError):
+            FamilyDescriptor.from_json(data)

@@ -66,6 +66,8 @@ MALFORMED = [
     pytest.param(CONSTRUCT + ["--params", "{bad"], {}, id="params-not-json"),
     pytest.param(CONSTRUCT + ["--params", "[]"], {}, id="params-array"),
     pytest.param(CONSTRUCT + ["--params", '{"group":"Z0"}'], {}, id="params-group-Z0"),
+    pytest.param(CONSTRUCT + ["--window", "1", "--params", '{"group":"Z0xZ3"}'], {},
+                 id="params-group-Z0xZ3"),
     pytest.param(CONSTRUCT + ["--params", '{"group":5}'], {}, id="params-group-int"),
     pytest.param(["construct", "--kind", "wedge", "--params", '{"step":2.5}'], {},
                  id="params-step-float"),
@@ -109,6 +111,11 @@ class TestParseGroup:
     def test_rejected(self):
         with pytest.raises(ValueError):
             parse_group("D4")
+
+    @pytest.mark.parametrize("text", ["Z0xZ3", "Z00xZ2"])
+    def test_written_free_order_zero_rejected(self, text):
+        with pytest.raises(ValueError, match="free order"):
+            parse_group(text)
 
 
 class TestConstructVerifyClassify:

@@ -4,6 +4,7 @@ from sring import (
     BoundExceeded,
     GroupDescriptor,
     InfiniteGroup,
+    class_stabilizer,
     discrete,
     enumerate_finite,
     enumerate_windowed,
@@ -14,6 +15,7 @@ from sring import (
     verify_axioms,
     verify_wielandt,
 )
+from sring.groups import close_automorphisms
 
 # Counts below with no literature anchor were frozen from the first verified
 # run (pruned and unpruned searches agree, and every member passes both
@@ -32,6 +34,151 @@ FROZEN_COUNTS = {
     (1, 12): 32,
     (2, 3): 7,
     (4, 3): 32,
+}
+
+
+# is_traditional on every ring of enumerate_finite(G), in enumeration order, as
+# (kind, [phi.to_json() for phi in generators]).  An orbit result carries the
+# canonical generators of the ring's class stabilizer.
+TRADITIONALITY = {
+    (1, 2): [
+        ("trivial", []),
+    ],
+    (1, 3): [
+        ("orbit", []), ("trivial", []),
+    ],
+    (1, 4): [
+        ("orbit", []), ("trivial", []), ("orbit", [{"a": 3, "z": [0, 0]}]),
+    ],
+    (1, 5): [
+        ("orbit", []), ("trivial", []), ("orbit", [{"a": 4, "z": [0, 0]}]),
+    ],
+    (1, 6): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 5, "z": [0, 0]}]),
+    ],
+    (1, 7): [
+        ("orbit", []), ("trivial", []), ("orbit", [{"a": 2, "z": [0, 0]}]),
+        ("orbit", [{"a": 6, "z": [0, 0]}]),
+    ],
+    (1, 8): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("orbit", [{"a": 3, "z": [0, 0]}]),
+        ("wedge", []), ("wedge", []), ("orbit", [{"a": 3, "z": [0, 0]}, {"a": 5, "z": [0, 0]}]),
+        ("orbit", [{"a": 5, "z": [0, 0]}]), ("wedge", []), ("orbit", [{"a": 7, "z": [0, 0]}]),
+    ],
+    (1, 9): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("orbit", [{"a": 2, "z": [0, 0]}]),
+        ("orbit", [{"a": 4, "z": [0, 0]}]), ("wedge", []), ("orbit", [{"a": 8, "z": [0, 0]}]),
+    ],
+    (1, 10): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 3, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 9, "z": [0, 0]}]),
+    ],
+    (1, 11): [
+        ("orbit", []), ("trivial", []), ("orbit", [{"a": 3, "z": [0, 0]}]),
+        ("orbit", [{"a": 10, "z": [0, 0]}]),
+    ],
+    (1, 12): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("orbit", [{"a": 5, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 5, "z": [0, 0]}, {"a": 7, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("orbit", [{"a": 7, "z": [0, 0]}]), ("wedge", []),
+        ("wedge", []), ("tensor", []), ("orbit", [{"a": 11, "z": [0, 0]}]),
+    ],
+    (1, 13): [
+        ("orbit", []), ("trivial", []), ("orbit", [{"a": 4, "z": [0, 0]}]),
+        ("orbit", [{"a": 3, "z": [0, 0]}]), ("orbit", [{"a": 5, "z": [0, 0]}]),
+        ("orbit", [{"a": 12, "z": [0, 0]}]),
+    ],
+    (1, 14): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("orbit", [{"a": 3, "z": [0, 0]}]), ("wedge", []),
+        ("wedge", []), ("orbit", [{"a": 9, "z": [0, 0]}]), ("orbit", [{"a": 13, "z": [0, 0]}]),
+    ],
+    (1, 15): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("orbit", [{"a": 2, "z": [0, 0]}, {"a": 7, "z": [0, 0]}]),
+        ("orbit", [{"a": 2, "z": [0, 0]}]), ("orbit", [{"a": 4, "z": [0, 0]}]), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 7, "z": [0, 0]}]),
+        ("orbit", [{"a": 4, "z": [0, 0]}, {"a": 11, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 11, "z": [0, 0]}]), ("orbit", [{"a": 14, "z": [0, 0]}]),
+    ],
+    (1, 16): [
+        ("orbit", []), ("trivial", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 3, "z": [0, 0]}, {"a": 5, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("orbit", [{"a": 3, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 5, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 7, "z": [0, 0]}]), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 7, "z": [0, 0]}, {"a": 9, "z": [0, 0]}]),
+        ("orbit", [{"a": 9, "z": [0, 0]}]), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 15, "z": [0, 0]}]),
+    ],
+    (2, 2): [
+        ("orbit", []), ("orbit", [{"a": 1, "z": [1, 1]}]), ("wedge", []), ("trivial", []),
+        ("wedge", []),
+    ],
+    (2, 4): [
+        ("orbit", []), ("wedge", []), ("orbit", [{"a": 1, "z": [2, 1]}]), ("tensor", []),
+        ("wedge", []), ("tensor", []), ("trivial", []), ("wedge", []), ("wedge", []),
+        ("orbit", [{"a": 3, "z": [0, 1]}]), ("wedge", []), ("orbit", [{"a": 3, "z": [2, 1]}]),
+        ("orbit", [{"a": 3, "z": [0, 1]}, {"a": 1, "z": [2, 1]}]), ("tensor", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []),
+    ],
+    (2, 6): [
+        ("orbit", []), ("wedge", []), ("tensor", []), ("orbit", [{"a": 1, "z": [3, 1]}]),
+        ("tensor", []), ("wedge", []), ("tensor", []), ("trivial", []), ("wedge", []),
+        ("wedge", []), ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("tensor", []), ("wedge", []),
+        ("tensor", []), ("wedge", []), ("tensor", []), ("wedge", []), ("wedge", []),
+        ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("no", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("tensor", []),
+        ("tensor", []), ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("orbit", [{"a": 5, "z": [0, 1]}]),
+        ("wedge", []), ("tensor", []), ("orbit", [{"a": 5, "z": [3, 1]}]),
+        ("orbit", [{"a": 5, "z": [0, 1]}, {"a": 1, "z": [3, 1]}]), ("tensor", []), ("tensor", []),
+        ("tensor", []), ("tensor", []), ("tensor", []), ("wedge", []), ("tensor", []),
+        ("tensor", []), ("wedge", []), ("tensor", []), ("tensor", []), ("wedge", []),
+        ("tensor", []), ("no", []), ("tensor", []), ("tensor", []), ("wedge", []), ("no", []),
+    ],
+    (3, 3): [
+        ("orbit", []), ("orbit", [{"a": 1, "z": [1, 1]}]),
+        ("orbit", [{"a": 1, "z": [0, 2]}, {"a": 1, "z": [1, 1]}]),
+        ("orbit", [{"a": 1, "z": [0, 2]}]), ("orbit", [{"a": 1, "z": [1, 2]}]),
+        ("orbit", [{"a": 1, "z": [2, 2]}]), ("orbit", [{"a": 2, "z": [0, 1]}]),
+        ("orbit", [{"a": 2, "z": [1, 1]}]),
+        ("orbit", [{"a": 2, "z": [0, 1]}, {"a": 1, "z": [1, 1]}]),
+        # {1}; {a, a^2}; the 6 elements outside <a>.  A search over the
+        # subgroups of Aut(G), smallest first, stopped at <z->a^1z^2, a->a^2>,
+        # which has the same orbits; the full class stabilizer needs two.
+        ("orbit", [{"a": 2, "z": [0, 1]}, {"a": 1, "z": [1, 2]}]),
+        ("orbit", [{"a": 2, "z": [0, 2]}, {"a": 2, "z": [1, 1]}]),
+        ("orbit", [{"a": 2, "z": [2, 1]}]),
+        ("orbit", [{"a": 2, "z": [0, 2]}, {"a": 1, "z": [1, 2]}]),
+        ("orbit", [{"a": 2, "z": [0, 1]}, {"a": 1, "z": [0, 2]}]),
+        ("orbit", [{"a": 2, "z": [0, 2]}]), ("trivial", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("no", []), ("tensor", []), ("wedge", []), ("wedge", []),
+        ("no", []), ("tensor", []), ("no", []), ("tensor", []), ("tensor", []), ("wedge", []),
+        ("wedge", []), ("tensor", []), ("wedge", []), ("wedge", []), ("tensor", []), ("wedge", []),
+        ("wedge", []), ("tensor", []), ("tensor", []), ("tensor", []),
+    ],
+    (4, 3): [
+        ("orbit", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("tensor", []), ("orbit", [{"a": 1, "z": [0, 3]}]), ("orbit", [{"a": 2, "z": [0, 1]}]),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("tensor", []),
+        ("orbit", [{"a": 2, "z": [0, 1]}, {"a": 1, "z": [0, 3]}]),
+        ("orbit", [{"a": 2, "z": [0, 3]}]), ("trivial", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+    ],
 }
 
 
@@ -152,6 +299,40 @@ class TestIsTraditional:
     def test_cyclic_groups_all_traditional(self, n):
         for P in enumerate_finite(GroupDescriptor(1, n)):
             assert is_traditional(P), P.describe()
+
+    @pytest.mark.parametrize(
+        "spec", sorted(TRADITIONALITY), ids=lambda spec: "Z{}xZ{}".format(*spec)
+    )
+    def test_golden_table(self, spec):
+        G = GroupDescriptor(*spec)
+        results = []
+        for P in enumerate_finite(G):
+            result = is_traditional(P)
+            results.append((result.kind, [phi.to_json() for phi in result.generators]))
+            if result.kind == "orbit":
+                assert orbit_ring(G, result.generators, bound=G.order).classes == P.classes
+        assert results == TRADITIONALITY[spec]
+
+    def test_orbit_generators_generate_the_class_stabilizer(self):
+        G = GroupDescriptor(3, 3)
+        from sring import SchurPresentation
+
+        outside = [(z, a) for z in (1, 2) for a in range(3)]
+        P = SchurPresentation(G, [[(0, 0)], [(0, 1), (0, 2)], outside])
+        result = is_traditional(P)
+        assert [str(phi) for phi in result.generators] == [
+            "z->a^0z^1, a->a^2",
+            "z->a^1z^2, a->a^1",
+        ]
+        assert close_automorphisms(result.generators) == frozenset(class_stabilizer(P))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_prime_cyclic_rings_match_subgroups_of_aut(self, p):
+        # the Schur rings over Z_p are the orbit rings of the subgroups of the
+        # cyclic group Aut(Z_p), so there are d(p - 1) of them
+        rings = enumerate_finite(GroupDescriptor(1, p))
+        assert len(rings) == sum(1 for k in range(1, p) if (p - 1) % k == 0)
+        assert {is_traditional(P).kind for P in rings} <= {"trivial", "orbit"}
 
 
 class TestEnumerateWindowed:
