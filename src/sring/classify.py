@@ -10,7 +10,7 @@ reproduce the input class-for-class on its window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .constructions import discrete, orbit_ring, standard_wedge, symmetric, wedge, WedgeSpec
@@ -66,17 +66,6 @@ class FamilyDescriptor:
     inner: "FamilyDescriptor | str | None" = None
     outer: str | None = None
     confidence_window: int = 0
-
-    def with_window(self, window: int) -> "FamilyDescriptor":
-        return FamilyDescriptor(
-            self.variant,
-            self.symmetric,
-            self.generators,
-            self.tower_step,
-            self.inner,
-            self.outer,
-            window,
-        )
 
     def to_json(self) -> dict:
         data: dict = {"variant": self.variant, "window": self.confidence_window}
@@ -268,7 +257,7 @@ def classify(P: SchurPresentation) -> FamilyDescriptor:
     ok, msg = class_shape_holds(P)
     if not ok:
         raise Unclassifiable(f"class-shape dichotomy fails: {msg}")
-    descriptor = _classify_core(P).with_window(P.window)
+    descriptor = replace(_classify_core(P), confidence_window=P.window)
     ok, msg = power_in_subgroup_holds(P, find_H(P))
     if not ok:
         raise Unclassifiable(f"small-class power rule fails: {msg}")

@@ -31,7 +31,7 @@ from .classify import (
 )
 from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
 from .enumeration import enumerate_finite, enumerate_windowed, is_traditional
-from .errors import SchurError, Unclassifiable, WindowTooSmall
+from .errors import BoundExceeded, SchurError, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
     SchurPresentation,
@@ -57,6 +57,10 @@ _FAILURES = (
     (Unclassifiable, EXIT_INVALID, "unclassifiable"),
     (_MAPPED, EXIT_MALFORMED, "malformed"),
 )
+
+# The most group elements one construct call may emit; a larger group or
+# window exits 2 before anything is built.
+MAX_CONSTRUCT_ELEMENTS = 10**6
 
 _DEFAULTS = {
     "window": RECOMMENDED_WINDOW,
@@ -146,11 +150,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
+def _require_size(count: int) -> None:
+    if count > MAX_CONSTRUCT_ELEMENTS:
+        raise BoundExceeded(
+            f"the construction would emit {count} elements, "
+            f"more than the limit of {MAX_CONSTRUCT_ELEMENTS}"
+        )
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     params = json_value(_load_json(args.params or "{}"), dict, "--params")
     window = settings.window
     group = parse_group(json_field(params, "group", str, "ZxZ3"))
+    if args.kind != "tensor":
+        _require_size(
+            (2 * window + 1) * group.torsion_order if group.is_infinite else group.order
+        )
     if args.kind == "discrete":
         P = discrete(group, window)
     elif args.kind == "trivial":
@@ -161,6 +177,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "tensor":
         left = SchurPresentation.from_json(json_field(params, "left", dict))
         right = SchurPresentation.from_json(json_field(params, "right", dict))
+        _require_size(sum(map(len, left.classes)) * sum(map(len, right.classes)))
         P = tensor(left, right)
     else:  # wedge; argparse restricts the choices
         P = standard_wedge(

@@ -27,7 +27,7 @@ from .groups import (
     Subgroup,
     orbit,
 )
-from .schur import SchurPresentation, is_ssubgroup, quotient, restrict
+from .schur import SchurPresentation, is_ssubgroup, quotient, reach, restrict
 
 
 def _require_window(group: GroupDescriptor, window: int) -> None:
@@ -220,8 +220,8 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
         )
     if overlap_inner.group.is_infinite:
         common = min(overlap_inner.window, overlap_outer.window)
-        left = {c for c in overlap_inner.classes if _max_z(c) <= common}
-        right = {c for c in overlap_outer.classes if _max_z(c) <= common}
+        left = {c for c in overlap_inner.classes if reach(c) <= common}
+        right = {c for c in overlap_outer.classes if reach(c) <= common}
     else:
         left, right = set(overlap_inner.classes), set(overlap_outer.classes)
     if left != right:
@@ -230,7 +230,7 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
     classes: list[frozenset] = []
     for c in spec.inner.classes:
         embedded = frozenset(h_coords.from_sub(g) for g in c)
-        if G.is_infinite and _max_z(embedded) > window:
+        if G.is_infinite and reach(embedded) > window:
             continue
         classes.append(embedded)
     for d in spec.outer.classes:
@@ -239,7 +239,7 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
         preimage = frozenset(
             g for q in d for g in qm.preimage(q)
         )
-        if G.is_infinite and _max_z(preimage) > window:
+        if G.is_infinite and reach(preimage) > window:
             continue  # coset classes are emitted only when entirely inside the window
         classes.append(preimage)
     return SchurPresentation(
@@ -248,10 +248,6 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
         window=window if G.is_infinite else 0,
         tag=f"wedge({spec.inner.tag}|{spec.outer.tag})",
     )
-
-
-def _max_z(c: Iterable[GroupElement]) -> int:
-    return max(abs(g.z_exp) for g in c)
 
 
 def standard_wedge(

@@ -25,11 +25,12 @@ from .schur import (
     VALID,
     class_product,
     class_stabilizer,
-    constant_on,
     is_ssubgroup,
     is_union,
     quotient,
     restrict,
+    split_class,
+    star,
     verify_axioms,
 )
 
@@ -40,18 +41,35 @@ MAX_WINDOW = 6
 # -- exhaustive enumeration over finite groups --------------------------------
 
 
+def _closed(classes: list[frozenset], fresh: Sequence[frozenset], group: GroupDescriptor) -> bool:
+    """Whether each product of a fresh class with a class of ``classes`` is
+    constant on every class of ``classes`` it meets; both searches prune on it.
+
+    ``fresh`` are the classes just added, which end ``classes``; pairs of
+    older classes were tested when the younger of the two was added.
+    """
+    member = {g: c for c in classes for g in c}
+    start = len(classes) - len(fresh)
+    return all(
+        split_class(class_product(classes[i], d, group), member) is None
+        for i in range(start, len(classes))
+        for d in classes[: i + 1]
+    )
+
+
 def enumerate_finite(
     group: GroupDescriptor,
     bound: int = DEFAULT_FINITE_BOUND,
     prune: bool = True,
 ) -> list[SchurPresentation]:
-    """All Schur-ring partitions of a finite group, deterministically ordered.
+    """All Schur-ring partitions of a finite group, sorted by their classes.
 
-    Backtracking assigns the least unassigned element to a fresh class (every
-    subset containing it is tried), forcing the star class immediately and
-    pruning on product closure over completed classes.  Disabling ``prune``
-    falls back to raw partition enumeration; the final arbiter is
-    verify_axioms either way, so both modes return the same set.
+    Backtracking puts the least unassigned element into a fresh class (every
+    subset of the unassigned elements containing it is tried).  With
+    ``prune`` the star of the class is forced at once, and a branch is cut
+    when a product with a fresh class is not constant on some class (see
+    :func:`_closed`).  ``prune=False`` enumerates raw partitions; the final
+    arbiter is verify_axioms either way, so both modes return the same list.
     """
     if group.is_infinite:
         raise InfiniteGroup("enumeration needs a finite group")
@@ -59,20 +77,11 @@ def enumerate_finite(
         raise BoundExceeded(f"|G| = {group.order} exceeds bound {bound}")
     identity = group.identity
     pool = tuple(sorted(g for g in group.elements() if g != identity))
-    id_class = frozenset([identity])
     results: list[SchurPresentation] = []
-
-    def products_consistent(done: list[frozenset], fresh: Sequence[frozenset]) -> bool:
-        for c in fresh:
-            for d in done:
-                prod = class_product(c, d, group)
-                if not all(constant_on(prod, e) for e in done):
-                    return False
-        return True
 
     def extend(classes: list[frozenset], remaining: tuple[GroupElement, ...]) -> None:
         if not remaining:
-            P = SchurPresentation(group, [id_class] + classes)
+            P = SchurPresentation(group, classes)
             if verify_axioms(P).verdict == VALID:
                 results.append(P)
             return
@@ -81,26 +90,19 @@ def enumerate_finite(
             cls = frozenset(
                 [least] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
             )
+            fresh = [cls]
             if prune:
-                star = frozenset(group.inverse(g) for g in cls)
-                if star == cls:
-                    fresh = [cls]
-                elif star & cls:
+                cls_star = star(cls, group)
+                if cls_star != cls:
+                    if cls_star & cls or not cls_star <= set(rest):
+                        continue
+                    fresh.append(cls_star)
+                if not _closed(classes + fresh, fresh, group):
                     continue
-                elif star <= frozenset(rest):
-                    fresh = [cls, star]
-                else:
-                    continue
-                new_classes = classes + fresh
-                if not products_consistent([id_class] + new_classes, fresh):
-                    continue
-            else:
-                fresh = [cls]
-                new_classes = classes + fresh
             used = set().union(*fresh)
-            extend(new_classes, tuple(g for g in remaining if g not in used))
+            extend(classes + fresh, tuple(g for g in remaining if g not in used))
 
-    extend([], pool)
+    extend([frozenset([identity])], pool)
     return sorted(results, key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
 
 
@@ -137,6 +139,9 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
     S-orbit, and every S-orbit lies in a class.  An orbit result carries the
     canonical generators of S.  S is taken in the parametric automorphism
     family, which is all of Aut(G) whenever the two factor orders are coprime.
+
+    The tensor and wedge tests run over one list of the proper nontrivial
+    S-subgroups with their element sets, in :func:`all_subgroups` order.
     """
     G = P.group
     if G.is_infinite:
@@ -151,44 +156,36 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
     if orbit_ring(G, S, bound=G.order).classes == P.classes:
         return TraditionalityResult("orbit", generators=canonical_generators(S))
 
-    subgroups = all_subgroups(G)
-    proper = [H for H in subgroups if not H.is_trivial and H.order != G.order]
-    for H in proper:
-        for K in proper:
-            if H.order * K.order != G.order:
+    proper = [
+        (H, frozenset(H.elements()))
+        for H in all_subgroups(G)
+        if not H.is_trivial and H.order != G.order and is_ssubgroup(P, H)
+    ]
+    for H, h_elems in proper:
+        for K, k_elems in proper:
+            if H.order * K.order != G.order or len(h_elems & k_elems) != 1:
                 continue
-            h_elems, k_elems = set(H.elements()), set(K.elements())
-            if len(h_elems & k_elems) != 1:
-                continue
-            if not (is_ssubgroup(P, H) and is_ssubgroup(P, K)):
-                continue
-            h_classes = [c for c in P.classes if c <= h_elems]
-            k_classes = [c for c in P.classes if c <= k_elems]
             products = {
                 frozenset(G.mul(x, y) for x in ch for y in ck)
-                for ch in h_classes
-                for ck in k_classes
+                for ch in P.classes
+                if ch <= h_elems
+                for ck in P.classes
+                if ck <= k_elems
             }
             if products == class_set:
                 return TraditionalityResult("tensor", split=(H, K))
 
-    for H in proper:
-        if not is_ssubgroup(P, H):
-            continue
-        h_elems = set(H.elements())
-        for K in proper:
-            if not (H.contains_subgroup(K) and is_ssubgroup(P, K)):
+    for H, h_elems in proper:
+        for K, k_elems in proper:
+            if not k_elems <= h_elems:
                 continue
-            k_elems = list(K.elements())
             outside_ok = all(
                 frozenset(G.mul(g, k) for k in k_elems) <= c
                 for c in P.classes
                 if not c <= h_elems
                 for g in c
             )
-            if not outside_ok:
-                continue
-            if is_traditional(restrict(P, H)) and is_traditional(quotient(P, K)):
+            if outside_ok and is_traditional(restrict(P, H)) and is_traditional(quotient(P, K)):
                 return TraditionalityResult("wedge", tower=(K, H))
 
     return TraditionalityResult("no")
@@ -211,10 +208,6 @@ def _set_partitions(items: Sequence) -> Iterator[list[frozenset]]:
             yield [cls] + sub
 
 
-def _star_of(group: GroupDescriptor, c: frozenset) -> frozenset:
-    return frozenset(group.inverse(g) for g in c)
-
-
 def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[frozenset, ...]]:
     """Admissible class layouts for the z-levels +-k.
 
@@ -228,7 +221,7 @@ def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[f
     if mode == "discrete":
         coset = sorted(group.coset_of_torsion(k))
         for parts in _set_partitions(coset):
-            layout = tuple(parts) + tuple(_star_of(group, c) for c in parts)
+            layout = tuple(parts) + tuple(star(c, group) for c in parts)
             out.append(layout)
     else:
         slab = sorted(group.coset_of_torsion(k) | group.coset_of_torsion(-k))
@@ -238,78 +231,40 @@ def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[f
                 continue
             if any(len(c) == 3 for c in classes):
                 continue
-            if {_star_of(group, c) for c in classes} != set(classes):
+            if {star(c, group) for c in classes} != set(classes):
                 continue
             out.append(classes)
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
 
 
-class _WindowSearch:
-    def __init__(self, group: GroupDescriptor, window: int, mode: str, torsion: tuple):
-        self.group = group
-        self.window = window
-        self.mode = mode
-        self.base = [frozenset([group.identity])] + list(torsion)
-        self.results: list[list[frozenset]] = []
+def _squares_closed(classes: list[frozenset], m: int) -> bool:
+    """Closure under the squaring transport (coprime to the torsion order m):
+    each class's image under g -> g^2, once inside the window, is a union of
+    classes.  Only the support of the transported class sum matters, and the
+    search group Z x Z_m needs no reduction of the free exponent.
+    """
+    lookup = {g: c for c in classes for g in c}
+    for c in classes:
+        squares = {(2 * z, 2 * a % m) for z, a in c}
+        if squares <= lookup.keys() and not is_union(squares, lookup):
+            return False
+    return True
 
-    def run(self) -> None:
-        candidates = {
-            k: _level_candidates(self.group, k, self.mode)
-            for k in range(1, self.window + 1)
-        }
-        self._extend(list(self.base), 1, candidates)
 
-    def _extend(self, classes: list[frozenset], level: int, candidates) -> None:
-        if level > self.window:
-            if self._small_class_rule(classes):
-                self.results.append(list(classes))
-            return
-        for layout in candidates[level]:
-            extended = classes + list(layout)
-            if self._consistent(extended, layout):
-                self._extend(extended, level + 1, candidates)
-
-    def _consistent(self, classes: list[frozenset], fresh: Sequence[frozenset]) -> bool:
-        group = self.group
-        lookup = {g: c for c in classes for g in c}
-        fresh_set = set(fresh)
-        for i, c in enumerate(classes):
-            for d in classes[i:]:
-                if c not in fresh_set and d not in fresh_set:
-                    continue
-                prod = class_product(c, d, group)
-                checked = set()
-                for g in prod:
-                    e = lookup.get(g)
-                    if e is None or e in checked:
-                        continue
-                    checked.add(e)
-                    if not constant_on(prod, e):
-                        return False
-        # closure under the squaring transport (coprime to the torsion order);
-        # only the support of the transported class sum matters, and the
-        # search group Z x Z_m needs no reduction of the free exponent
-        m = group.torsion_order
-        for c in classes:
-            squares = {(2 * z, 2 * a % m) for z, a in c}
-            if squares <= lookup.keys() and not is_union(squares, lookup):
-                return False
-        return True
-
-    def _small_class_rule(self, classes: list[frozenset]) -> bool:
-        # classes of size < 3 push z^(3m) into the pure-z part of the window
-        lookup = {g: c for c in classes for g in c}
-        for c in classes:
-            if len(c) >= 3:
+def _small_class_rule(classes: list[frozenset], window: int) -> bool:
+    """Classes of size < 3 push z^(3m) into the pure-z part of the window."""
+    lookup = {g: c for c in classes for g in c}
+    for c in classes:
+        if len(c) >= 3:
+            continue
+        for g in c:
+            target = GroupElement(3 * g.z_exp, 0)
+            if abs(target.z_exp) > window or target.z_exp == 0:
                 continue
-            for g in c:
-                target = GroupElement(3 * g.z_exp, 0)
-                if abs(target.z_exp) > self.window or target.z_exp == 0:
-                    continue
-                target_class = lookup.get(target)
-                if target_class is None or any(x.a_exp for x in target_class):
-                    return False
-        return True
+            target_class = lookup.get(target)
+            if target_class is None or any(x.a_exp for x in target_class):
+                return False
+    return True
 
 
 def enumerate_windowed(
@@ -333,16 +288,23 @@ def enumerate_windowed(
         (frozenset([a, a2]),),
     ]
     results = []
+
+    def extend(classes: list[frozenset], level: int, candidates: dict, mode: str) -> None:
+        if level > window:
+            if _small_class_rule(classes, window):
+                P = SchurPresentation(group, classes, window=window, tag=f"windowed({mode})")
+                if verify_axioms(P).ok:
+                    results.append(P)
+            return
+        for layout in candidates[level]:
+            extended = classes + list(layout)
+            if _closed(extended, layout, group) and _squares_closed(extended, group.torsion_order):
+                extend(extended, level + 1, candidates, mode)
+
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
+        candidates = {k: _level_candidates(group, k, mode) for k in range(1, window + 1)}
         for torsion in torsion_layouts:
-            search = _WindowSearch(group, window, mode, torsion)
-            search.run()
-            for classes in search.results:
-                P = SchurPresentation(
-                    group, classes, window=window, tag=f"windowed({mode})"
-                )
-                if verify_axioms(P).ok:
-                    results.append(P)
+            extend([frozenset([group.identity]), *torsion], 1, candidates, mode)
     return results

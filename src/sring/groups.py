@@ -701,20 +701,26 @@ class SubgroupCoords:
 
 
 def all_subgroups(group: GroupDescriptor) -> list[Subgroup]:
-    """Every subgroup of a finite group (abelian of rank <= 2)."""
+    """Every subgroup of a finite group Z_n x Z_m, listed by normal form.
+
+    The normal forms (see :class:`Subgroup`) are free_step h | n, torsion_step
+    d | m and twist 0 <= c < d, where c = 0 for the trivial free part h = n
+    and otherwise (n/h)c = 0 mod d, so that z^n = 1 wraps around into <a^d>.
+    Sorted by (order, free_step, torsion_step, twist).
+    """
     if group.is_infinite:
         raise InfiniteGroup("cannot enumerate subgroups of an infinite group")
-    elems = list(group.elements())
-    seen: dict[Subgroup, None] = {}
-    seen[Subgroup.trivial(group)] = None
-    for i, g in enumerate(elems):
-        seen[Subgroup.generated_by(group, [g])] = None
-        for h in elems[i:]:
-            seen[Subgroup.generated_by(group, [g, h])] = None
-    return sorted(
-        seen,
-        key=lambda s: (s.order, s.free_step, s.torsion_step, s.twist),
-    )
+    n, m = group.free_order, group.torsion_order
+    subgroups = [
+        Subgroup(group, h, c, d)
+        for h in range(1, n + 1)
+        if n % h == 0
+        for d in range(1, m + 1)
+        if m % d == 0
+        for c in range(d if h != n else 1)
+        if (n // h) * c % d == 0
+    ]
+    return sorted(subgroups, key=lambda s: (s.order, s.free_step, s.torsion_step, s.twist))
 
 
 # -- Smith normal form on two columns (for quotient maps) ---------------------

@@ -190,10 +190,10 @@ def _checkable_pairs(P: SchurPresentation) -> Iterator[tuple[frozenset, frozense
     """Unordered class pairs whose product provably stays inside the window."""
     classes = P.classes
     if P.group.is_infinite:
-        reach = {c: max(abs(g.z_exp) for g in c) for c in classes}
+        reaches = {c: reach(c) for c in classes}
         for i, c in enumerate(classes):
             for d in classes[i:]:
-                if reach[c] + reach[d] <= P.window:
+                if reaches[c] + reaches[d] <= P.window:
                     yield c, d
     else:
         for i, c in enumerate(classes):
@@ -220,9 +220,32 @@ def class_product(
     return counts
 
 
-def constant_on(prod: Mapping, cls: Iterable[GroupElement]) -> bool:
-    """Whether prod, which stores no zero coefficients, is constant on cls."""
-    return len(set(map(prod.get, cls))) <= 1
+def split_class(prod: Mapping, member: Mapping, order: Iterable | None = None) -> frozenset | None:
+    """The first class that prod meets but is not constant on, or None.
+
+    prod stores no zero coefficients and member maps element -> class;
+    elements of prod outside member are skipped.  Classes are met in the
+    order of ``order`` (default: prod's own), each tested once.
+    """
+    seen: set[frozenset] = set()
+    for g in prod if order is None else order:
+        e = member.get(g)
+        if e is None or e in seen:
+            continue
+        seen.add(e)
+        if len(set(map(prod.get, e))) > 1:
+            return e
+    return None
+
+
+def star(c: Iterable[GroupElement], group: GroupDescriptor) -> frozenset:
+    """The inverse set {g^-1 : g in c}."""
+    return frozenset(group.inverse(g) for g in c)
+
+
+def reach(c: Iterable[GroupElement]) -> int:
+    """How far a class reaches along the free factor: the largest |z|."""
+    return max(abs(g.z_exp) for g in c)
 
 
 def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
@@ -279,7 +302,7 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
 
     class_set = set(P.classes)
     for c in P.classes:
-        c_star = frozenset(P.group.inverse(g) for g in c)
+        c_star = star(c, P.group)
         if c_star not in class_set:
             return _report(
                 P,
@@ -297,23 +320,18 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
     for c, d in _checkable_pairs(P):
         product = class_product(c, d, P.group)
         pairs += 1
-        seen: set[frozenset] = set()
-        for g in sorted(product):
-            e = member.get(g)
-            if e is None or e in seen:
-                continue
-            seen.add(e)
-            if not constant_on(product, e):
-                return _report(
-                    P,
-                    pairs,
-                    Witness(
-                        "product-closure",
-                        _class_key(c),
-                        _class_key(d),
-                        f"product is not constant on class {_fmt_class(e)}",
-                    ),
-                )
+        e = split_class(product, member, order=sorted(product))
+        if e is not None:
+            return _report(
+                P,
+                pairs,
+                Witness(
+                    "product-closure",
+                    _class_key(c),
+                    _class_key(d),
+                    f"product is not constant on class {_fmt_class(e)}",
+                ),
+            )
     return _report(P, pairs)
 
 
@@ -348,7 +366,7 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
         )
 
     for c in P.classes:
-        c_star = frozenset(P.group.inverse(g) for g in c)
+        c_star = star(c, P.group)
         if not is_sset(P, c_star):
             return _report(
                 P,
@@ -384,13 +402,13 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
 
 
 def _require_in_span(alpha: RingElement, P: SchurPresentation) -> None:
-    for g in alpha.support():
-        c = P.class_of(g)
-        if c is None:
+    terms = alpha.terms()
+    for g in terms:
+        if P.class_of(g) is None:
             raise NotInSpan(f"support element {format_element(g)} lies outside the partition")
-        values = {alpha.coeff(h) for h in c}
-        if len(values) > 1:
-            raise NotInSpan(f"coefficients are not constant on class {_fmt_class(c)}")
+    c = split_class(terms, P._member_class)
+    if c is not None:
+        raise NotInSpan(f"coefficients are not constant on class {_fmt_class(c)}")
 
 
 def level_sets(alpha: RingElement, P: SchurPresentation) -> list[tuple[Fraction, frozenset]]:
@@ -565,10 +583,8 @@ def frobenius_closure_holds(P: SchurPresentation, k: int) -> tuple[bool, str]:
     """Whether every in-reach class maps to an S-set under g -> g^k."""
     G = P.group
     for c in P.classes:
-        if G.is_infinite:
-            reach = max(abs(g.z_exp) for g in c) * abs(k)
-            if reach > P.window:
-                continue
+        if G.is_infinite and reach(c) * abs(k) > P.window:
+            continue
         image = simple_quantity(G, c).frobenius(k)
         for _, part in _group_by_value(image.terms()):
             if not is_sset(P, part):
@@ -586,7 +602,7 @@ def multiplier_sets_hold(P: SchurPresentation, p: int) -> tuple[bool, str]:
     G = P.group
     checked = 0
     for c in P.classes:
-        if G.is_infinite and max(abs(g.z_exp) for g in c) * p > P.window:
+        if G.is_infinite and reach(c) * p > P.window:
             continue
         direct = multiplier_set(c, p, P)
         congruence = multiplier_set_congruence(c, p, P)

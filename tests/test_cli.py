@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sring import cli
 from sring.cli import parse_group, run
 from sring.groups import GroupDescriptor
 
@@ -68,6 +69,9 @@ MALFORMED = [
     pytest.param(CONSTRUCT + ["--params", '{"group":"Z0"}'], {}, id="params-group-Z0"),
     pytest.param(CONSTRUCT + ["--window", "1", "--params", '{"group":"Z0xZ3"}'], {},
                  id="params-group-Z0xZ3"),
+    pytest.param(CONSTRUCT + ["--params", '{"group":"Z99999999999999999999"}'], {},
+                 id="params-group-too-large"),
+    pytest.param(CONSTRUCT + ["--window", "10000000"], {}, id="window-too-large"),
     pytest.param(CONSTRUCT + ["--params", '{"group":5}'], {}, id="params-group-int"),
     pytest.param(["construct", "--kind", "wedge", "--params", '{"step":2.5}'], {},
                  id="params-step-float"),
@@ -357,6 +361,34 @@ class TestInputBoundary:
     def test_construct_window_too_small_exits_three(self, capsys):
         code, out, _ = invoke(capsys, "--json", "construct", "--kind", "discrete", "--window", "0")
         assert code == 3 and "window" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("kind", ["discrete", "orbit", "wedge"])
+    def test_construct_size_cap_on_the_window(self, capsys, monkeypatch, kind):
+        # a window-w construction over Z x Z_3 emits (2w + 1) * 3 elements
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ELEMENTS", 21)
+        code, _, _ = invoke(capsys, "construct", "--kind", kind, "--window", "3")
+        assert code == 0
+        code, out, _ = invoke(capsys, "--json", "construct", "--kind", kind, "--window", "4")
+        assert code == 2 and "27 elements" in json.loads(out)["error"]
+
+    def test_construct_size_cap_on_a_finite_group(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ELEMENTS", 12)
+        code, _, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z4xZ3"}')
+        assert code == 0
+        code, out, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z13"}')
+        assert code == 2 and out.startswith("malformed: ") and "13 elements" in out
+
+    def test_construct_size_cap_on_a_tensor(self, capsys, monkeypatch):
+        # a tensor emits one element per pair of input elements: 3 * 3 here
+        left = {"group": {"free": "Z", "torsion": 1}, "window": 1, "classes": _discrete_w1(1)}
+        right = {"group": {"free": 1, "torsion": 3}, "window": 0,
+                 "classes": [[[0, 0]], [[0, 1], [0, 2]]]}
+        argv = ["construct", "--kind", "tensor", "--params", json.dumps({"left": left, "right": right})]
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ELEMENTS", 9)
+        assert invoke(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_CONSTRUCT_ELEMENTS", 8)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2 and "9 elements" in out
 
 
 class TestEntryPoint:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from sring import (
@@ -16,6 +19,11 @@ from sring import (
     verify_wielandt,
 )
 from sring.groups import close_automorphisms
+
+# enumerate_windowed(w, projection) for w = 1-5, as [P.to_json() for P in ...],
+# keyed "<w> <projection>"; recorded before the window search was rewritten.
+# The output is not sorted, so this pins the search order as well.
+WINDOWED_GOLDEN = json.loads((Path(__file__).parent / "windowed_golden.json").read_text())
 
 # Counts below with no literature anchor were frozen from the first verified
 # run (pruned and unpruned searches agree, and every member passes both
@@ -218,7 +226,9 @@ class TestEnumerateFinite:
             assert set(discrete(G).classes) in class_sets
             assert set(trivial(G).classes) in class_sets
 
-    @pytest.mark.parametrize("spec", [(1, 4), (1, 6), (2, 3), (1, 7), (1, 8)])
+    @pytest.mark.parametrize(
+        "spec", [(1, 4), (1, 6), (2, 3), (1, 7), (1, 8), (2, 2), (2, 4), (1, 9), (3, 3)]
+    )
     def test_pruning_soundness(self, spec):
         G = GroupDescriptor(*spec)
         pruned = enumerate_finite(G, prune=True)
@@ -373,6 +383,14 @@ class TestEnumerateWindowed:
             enumerate_windowed(7)
         with pytest.raises(BoundExceeded):
             enumerate_windowed(0)
+
+    @pytest.mark.parametrize("window", range(1, 6))
+    @pytest.mark.parametrize("projection", [None, "discrete", "symmetric"])
+    def test_golden_output_order(self, window, projection):
+        golden = WINDOWED_GOLDEN
+        modes = [projection] if projection else ["discrete", "symmetric"]
+        expected = [P for mode in modes for P in golden[f"{window} {mode}"]]
+        assert [P.to_json() for P in enumerate_windowed(window, projection)] == expected
 
     @pytest.mark.parametrize("window", [5, 6])
     def test_larger_windows_all_classify(self, window):

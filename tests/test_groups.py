@@ -230,6 +230,21 @@ class TestSubgroups:
         assert len(all_subgroups(GroupDescriptor(1, 12))) == 6
         assert len(all_subgroups(GroupDescriptor(4, 3))) == 6
 
+    @pytest.mark.parametrize("n", range(1, 49))
+    def test_all_subgroups_matches_pairwise_generation(self, n):
+        # the reference is the earlier search: the subgroups generated by
+        # every element and every pair of elements
+        for m in range(1, 48 // n + 1):
+            group = GroupDescriptor(n, m)
+            elems = list(group.elements())
+            found = {Subgroup.trivial(group)}
+            for i, g in enumerate(elems):
+                found.add(Subgroup.generated_by(group, [g]))
+                for h in elems[i:]:
+                    found.add(Subgroup.generated_by(group, [g, h]))
+            reference = sorted(found, key=lambda s: (s.order, s.free_step, s.torsion_step, s.twist))
+            assert all_subgroups(group) == reference, (n, m)
+
     def test_subgroup_as_group_roundtrip(self, G):
         H = Subgroup.free_power_with_torsion(G, 2)
         desc, coords = H.as_group()

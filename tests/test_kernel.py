@@ -23,7 +23,7 @@ from sring import (
     verify_axioms,
     verify_wielandt,
 )
-from sring.schur import class_product
+from sring.schur import class_product, reach, split_class, star
 
 G = GroupDescriptor(0, 3)
 
@@ -64,6 +64,23 @@ class TestClassProduct:
         prod = class_product(c, c, Z4xZ6)
         assert prod == {(2, 4): 1, (0, 0): 2, (2, 2): 1}
         assert all(type(v) is int for v in prod.values())
+
+
+class TestHelpers:
+    def test_split_class_finds_the_first_split_class_in_the_given_order(self):
+        low, high = frozenset({(0, 1), (0, 2)}), frozenset({(1, 1), (1, 2)})
+        member = {g: c for c in (low, high) for g in c}
+        prod = {(1, 1): 2, (1, 2): 1, (0, 1): 1, (5, 0): 3}  # (5, 0) is in no class
+        assert split_class(prod, member) == high
+        assert split_class(prod, member, order=sorted(prod)) == low
+        assert split_class({(0, 1): 4, (0, 2): 4, (5, 0): 1}, member) is None
+        assert split_class({(0, 1): 4}, member) == low  # a missing element counts as 0
+
+    def test_star_and_reach(self):
+        c = [GroupElement(2, 1), GroupElement(-3, 0)]
+        assert star(c, G) == {(-2, 2), (3, 0)}
+        assert star(c, GroupDescriptor(4, 3)) == {(2, 2), (3, 0)}
+        assert reach(c) == 3
 
 
 def _star(group, cls):
