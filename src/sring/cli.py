@@ -324,7 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (say by `| head`): send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_MALFORMED
     except _MAPPED as ex:
         code, label = next(row[1:] for row in _FAILURES if isinstance(ex, row[0]))
         _emit({"error": str(ex)}, args.json, f"{label}: {ex}")

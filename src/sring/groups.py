@@ -211,9 +211,10 @@ def _modinv(u: int, n: int) -> int:
 class Automorphism:
     """Automorphism of the form z -> a^twist * z^unit, a -> a^torsion_unit.
 
-    For m prime this parametric family is the whole automorphism group; the
-    validator rejects parameters that do not extend to a bijective
-    homomorphism.
+    This parametric family is the whole automorphism group for the infinite
+    group and for coprime n and m (see :func:`all_automorphisms`); otherwise
+    it misses the automorphisms that send a outside <a>.  The validator
+    rejects parameters that do not extend to a bijective homomorphism.
     """
 
     group: GroupDescriptor
@@ -458,6 +459,45 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _times(x, M) -> tuple[int, int]:
+    """The row vector x times the 2x2 matrix M."""
+    return x[0] * M[0][0] + x[1] * M[1][0], x[0] * M[0][1] + x[1] * M[1][1]
+
+
+def _diagonal_coords(p: int, q: int, r: int) -> tuple[int, int, tuple, tuple]:
+    """Coordinates on Z^2 / L, where L is the row lattice of [[p, q], [0, r]].
+
+    Returns (free_order, torsion_order, V, V_inv) with V unimodular, such that
+    x -> x*V (first entry mod free_order, second mod torsion_order) maps
+    Z^2 / L isomorphically onto Z_free_order x Z_torsion_order, and
+    y -> y*V_inv maps back to a representative.  An order 0 is infinite.
+    For q == 0 this is (p, r) with V = I; otherwise it is the Smith normal
+    form, with the larger invariant factor (0 counting as the largest) as
+    the free order.
+    """
+    identity = ((1, 0), (0, 1))
+    if q == 0:
+        return p, r, identity, identity
+    A, V, V_inv = ((p, q), (0, r)), identity, identity
+    while A[0][1] or A[1][0] or A[1][1] % A[0][0]:
+        if A[0][1]:  # column operations: first row -> (gcd, 0)
+            g, x, y = _ext_gcd(*A[0])
+            s, t = A[0][0] // g, A[0][1] // g
+            C, C_inv = ((x, -t), (y, s)), ((s, t), (-y, x))
+            A, V = tuple(_times(row, C) for row in A), tuple(_times(row, C) for row in V)
+            V_inv = tuple(_times(row, V_inv) for row in C_inv)
+        elif A[1][0]:  # row operations: first column -> (gcd, 0)
+            g, x, y = _ext_gcd(A[0][0], A[1][0])
+            s, t = A[0][0] // g, A[1][0] // g
+            A = ((g, x * A[0][1] + y * A[1][1]), (0, s * A[1][1] - t * A[0][1]))
+        else:  # diagonal, but A00 does not divide A11: add the second row to the first
+            A = ((A[0][0], A[1][1]), A[1])
+    sign = -1 if A[1][1] < 0 else 1
+    V = tuple((row[1] * sign, row[0]) for row in V)
+    V_inv = ((V_inv[1][0] * sign, V_inv[1][1] * sign), V_inv[0])
+    return abs(A[1][1]), A[0][0], V, V_inv
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup in Hermite-style normal form.
@@ -647,16 +687,20 @@ class Subgroup:
     # -- the subgroup as a group in its own right ------------------------------
 
     def as_group(self) -> tuple[GroupDescriptor, "SubgroupCoords"]:
-        """Descriptor for H itself plus the coordinate maps G <-> H."""
+        """Descriptor for H itself plus the coordinate maps G <-> H.
+
+        H is the image of (t, j) -> z^(t*free_step) * a^(t*twist + j*torsion_step);
+        its relations are generated by (p, -e) and (0, m/torsion_step), where
+        p is the order of the free generator modulo <a> (0 when infinite) and
+        e*torsion_step = p*twist.
+        """
         n, m = self.group.free_order, self.group.torsion_order
-        new_m = m // self.torsion_step
-        if self._free_trivial:
-            new_n = 1
-        elif n == 0:
-            new_n = 0
-        else:
-            new_n = n // self.free_step
-        return GroupDescriptor(new_n, new_m), SubgroupCoords(self)
+        p = 1 if self._free_trivial else (n // self.free_step if n else 0)
+        r = m // self.torsion_step
+        e = p * self.twist // self.torsion_step
+        free, torsion, V, V_inv = _diagonal_coords(p, -e % r, r)
+        desc = GroupDescriptor(free, torsion)
+        return desc, SubgroupCoords(self, desc, V, V_inv)
 
     def to_json(self) -> dict:
         return {
@@ -675,8 +719,10 @@ class Subgroup:
 class SubgroupCoords:
     """Coordinate change between a subgroup and its standalone descriptor."""
 
-    def __init__(self, sub: Subgroup):
+    def __init__(self, sub: Subgroup, descriptor: GroupDescriptor, V, V_inv):
         self.sub = sub
+        self.descriptor = descriptor
+        self._V, self._V_inv = V, V_inv
 
     def to_sub(self, g: GroupElement) -> GroupElement:
         sub = self.sub
@@ -684,20 +730,14 @@ class SubgroupCoords:
         g = G.reduce(g)
         if not sub.contains(g):
             raise ValueError(f"{format_element(g)} is not in {sub}")
-        if sub._free_trivial:
-            t = 0
-        else:
-            t = g.z_exp // sub.free_step
+        t = 0 if sub._free_trivial else g.z_exp // sub.free_step
         j = ((g.a_exp - t * sub.twist) % G.torsion_order) // sub.torsion_step
-        new_m = G.torsion_order // sub.torsion_step
-        return GroupElement(t, j % new_m)
+        return self.descriptor.element(*_times((t, j), self._V))
 
     def from_sub(self, g: GroupElement) -> GroupElement:
         sub = self.sub
-        G = sub.group
-        t, j = g
-        z = 0 if sub._free_trivial else t * sub.free_step
-        return G.element(z, t * sub.twist + j * sub.torsion_step)
+        t, j = _times(g, self._V_inv)
+        return sub.group.element(t * sub.free_step, t * sub.twist + j * sub.torsion_step)
 
 
 def all_subgroups(group: GroupDescriptor) -> list[Subgroup]:
@@ -723,131 +763,27 @@ def all_subgroups(group: GroupDescriptor) -> list[Subgroup]:
     return sorted(subgroups, key=lambda s: (s.order, s.free_step, s.torsion_step, s.twist))
 
 
-# -- Smith normal form on two columns (for quotient maps) ---------------------
-
-
-def _smith_2col(rows: list[tuple[int, int]]) -> tuple[int, int, list[list[int]]]:
-    """Diagonalize the row lattice; returns (d0, d1, V) with d0 | d1.
-
-    V is the unimodular column transform: the lattice spanned by the rows
-    equals { (t0*d0, t1*d1) * V^-1 }, so x belongs to the quotient class of
-    (x*V mod (d0, d1) ).  d == 0 encodes an infinite (free) direction.
-    """
-    A = [list(r) for r in rows if r != (0, 0)]
-    V = [[1, 0], [0, 1]]
-
-    def col_swap():
-        for row in A:
-            row[0], row[1] = row[1], row[0]
-        for row in V:
-            row[0], row[1] = row[1], row[0]
-
-    def col_add(dst: int, src: int, q: int):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    while True:
-        if not A or all(r == [0, 0] for r in A):
-            return 1, 1, V  # unreachable with the torsion relation present
-        # gather gcd of column 0 into a single row by row reduction
-        while True:
-            nz = [r for r in A if r[0]]
-            if not nz:
-                col_swap()
-                nz = [r for r in A if r[0]]
-                if not nz:
-                    # only possible if every row is zero; handled above
-                    return 1, 1, V
-            pivot = min(nz, key=lambda r: abs(r[0]))
-            done = True
-            for row in A:
-                if row is pivot or row[0] == 0:
-                    continue
-                q = row[0] // pivot[0]
-                row[0] -= q * pivot[0]
-                row[1] -= q * pivot[1]
-                if row[0]:
-                    done = False
-            if done:
-                break
-        # clear the pivot's second entry by a column operation
-        if pivot[1] % pivot[0]:
-            col_add(1, 0, -(pivot[1] // pivot[0]))
-            if pivot[1]:
-                col_swap()
-                continue
-        elif pivot[1]:
-            col_add(1, 0, -(pivot[1] // pivot[0]))
-        d0 = abs(pivot[0])
-        d1 = 0
-        for row in A:
-            if row is not pivot:
-                d1 = gcd(d1, abs(row[1]))
-        if d1 and d1 % d0:
-            col_add(0, 1, 1)
-            continue
-        return d0, d1, V
-
-
-def _mat2_inverse(V: list[list[int]]) -> list[list[int]]:
-    det = V[0][0] * V[1][1] - V[0][1] * V[1][0]
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [
-        [det * V[1][1], -det * V[0][1]],
-        [-det * V[1][0], det * V[0][0]],
-    ]
-
-
 class QuotientMap:
-    """Projection G -> G/K with a section, in canonical coordinates."""
+    """Projection G -> G/K with a section, in the coordinates that
+    :func:`_diagonal_coords` gives for K's normal form [[h, c], [0, d]].
+    """
 
     def __init__(self, group: GroupDescriptor, kernel: Subgroup):
         if kernel.group != group:
             raise ValueError("kernel lives in a different group")
         self.group = group
         self.kernel = kernel
-        n, m = group.free_order, group.torsion_order
-        if kernel.twist == 0:
-            # natural coordinates: (k mod h, i mod d)
-            h = 0 if kernel._free_trivial and n == 0 else kernel.free_step
-            d = kernel.torsion_step
-            self.descriptor = GroupDescriptor(h, d)
-            self._mode = ("natural", h, d)
-        else:
-            rows = [(0, m)]
-            if n:
-                rows.append((n, 0))
-            if not kernel._free_trivial:
-                rows.append((kernel.free_step, kernel.twist))
-            rows.append((0, kernel.torsion_step))
-            d0, d1, V = _smith_2col(rows)
-            self.descriptor = GroupDescriptor(d1, d0)
-            self._mode = ("smith", V, _mat2_inverse(V), d0, d1)
+        free, torsion, self._V, self._V_inv = _diagonal_coords(
+            kernel.free_step, kernel.twist, kernel.torsion_step
+        )
+        self.descriptor = GroupDescriptor(free, torsion)
 
     def project(self, g: GroupElement) -> GroupElement:
-        g = self.group.reduce(g)
-        if self._mode[0] == "natural":
-            _, h, d = self._mode
-            z = g.z_exp % h if h else g.z_exp
-            return self.descriptor.element(z, g.a_exp % d if d else g.a_exp)
-        _, V, _, d0, d1 = self._mode
-        y0 = g.z_exp * V[0][0] + g.a_exp * V[1][0]
-        y1 = g.z_exp * V[0][1] + g.a_exp * V[1][1]
-        return self.descriptor.element(y1, y0)
+        return self.descriptor.element(*_times(g, self._V))
 
     def section(self, q: GroupElement) -> GroupElement:
         """One preimage of a quotient element."""
-        q = self.descriptor.reduce(q)
-        if self._mode[0] == "natural":
-            return self.group.reduce(GroupElement(q.z_exp, q.a_exp))
-        _, _, Vinv, d0, d1 = self._mode
-        y0, y1 = q.a_exp, q.z_exp
-        x0 = y0 * Vinv[0][0] + y1 * Vinv[1][0]
-        x1 = y0 * Vinv[0][1] + y1 * Vinv[1][1]
-        return self.group.reduce(GroupElement(x0, x1))
+        return self.group.element(*_times(self.descriptor.reduce(q), self._V_inv))
 
     def preimage(self, q: GroupElement) -> frozenset[GroupElement]:
         """The full coset over a quotient element (kernel must be finite)."""

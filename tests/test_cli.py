@@ -407,3 +407,16 @@ class TestEntryPoint:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stdout.strip()
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+    def test_closed_stdout_exits_two_without_traceback(self, mode):
+        # like `sring construct ... | head -c 10`: the reader leaves after 10 bytes
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "sring.cli", *mode,
+                "construct", "--kind", "discrete", "--window", "3000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read() == b""

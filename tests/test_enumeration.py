@@ -13,6 +13,8 @@ from sring import (
     enumerate_windowed,
     is_traditional,
     orbit_ring,
+    quotient,
+    restrict,
     standard_wedge,
     trivial,
     verify_axioms,
@@ -147,7 +149,7 @@ TRADITIONALITY = {
         ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("tensor", []), ("wedge", []),
         ("tensor", []), ("wedge", []), ("tensor", []), ("wedge", []), ("wedge", []),
         ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
-        ("no", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
+        ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
         ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []), ("tensor", []),
         ("tensor", []), ("tensor", []), ("wedge", []), ("wedge", []), ("wedge", []), ("wedge", []),
         ("wedge", []), ("wedge", []), ("wedge", []), ("orbit", [{"a": 5, "z": [0, 1]}]),
@@ -321,6 +323,10 @@ class TestIsTraditional:
             results.append((result.kind, [phi.to_json() for phi in result.generators]))
             if result.kind == "orbit":
                 assert orbit_ring(G, result.generators, bound=G.order).classes == P.classes
+            if result.kind == "wedge":
+                K, H = result.tower
+                assert verify_axioms(restrict(P, H)).ok
+                assert verify_axioms(quotient(P, K)).ok
         assert results == TRADITIONALITY[spec]
 
     def test_orbit_generators_generate_the_class_stabilizer(self):

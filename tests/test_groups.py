@@ -183,6 +183,36 @@ class TestOrbits:
             orbit([autos["psi"], autos["xi"]], G.element(1, 0), bound=1)
 
 
+def _coordinate_cases() -> list:
+    """(G, H) for every subgroup H of every Z_n x Z_m with n*m <= 36, and for
+    the subgroups <z^h a^c, a^d> with h <= 3 of Z x Z_m with m <= 6."""
+    cases = []
+    for n in range(1, 37):
+        for m in range(1, 36 // n + 1):
+            G = GroupDescriptor(n, m)
+            cases += [(G, H) for H in all_subgroups(G)]
+    for m in range(1, 7):
+        G = GroupDescriptor(0, m)
+        cases += [
+            (G, Subgroup(G, h, c, d))
+            for h in range(4)
+            for d in range(1, m + 1)
+            if m % d == 0
+            for c in range(d if h else 1)
+        ]
+    return cases
+
+
+COORDINATE_CASES = _coordinate_cases()
+COORDINATE_IDS = [
+    f"{'Z' if G.is_infinite else f'Z{G.free_order}'}xZ{G.torsion_order}:{H}"
+    for G, H in COORDINATE_CASES
+]
+# Infinite groups are checked on the elements with |z| <= COORDINATE_WINDOW.
+COORDINATE_WINDOW = 6
+GENERATORS = (GroupElement(1, 0), GroupElement(0, 1))
+
+
 class TestSubgroups:
     def test_twisted_cyclic(self, G):
         S = Subgroup.generated_by(G, [G.element(1, 1)])  # <az>
@@ -259,6 +289,24 @@ class TestSubgroups:
         for g in S.window_elements(5):
             assert coords.from_sub(coords.to_sub(g)) == g
 
+    @pytest.mark.parametrize("G, H", COORDINATE_CASES, ids=COORDINATE_IDS)
+    def test_as_group_is_a_bijective_homomorphism(self, G, H):
+        desc, coords = H.as_group()
+        sample = list(desc.window_elements(COORDINATE_WINDOW))
+        for q in sample:
+            assert coords.to_sub(coords.from_sub(q)) == q
+        for g in H.window_elements(COORDINATE_WINDOW):
+            assert coords.from_sub(coords.to_sub(g)) == g
+        for x in GENERATORS:
+            for q in sample:
+                assert coords.from_sub(desc.mul(x, q)) == G.mul(coords.from_sub(x), coords.from_sub(q))
+
+    def test_cyclic_subgroup_of_a_non_cyclic_group(self):
+        G = GroupDescriptor(2, 4)
+        H = Subgroup.generated_by(G, [G.element(1, 1), G.element(0, 2)])
+        desc, _ = H.as_group()
+        assert desc == GroupDescriptor(4, 1)  # <za> has order 4 and contains a^2
+
 
 class TestQuotients:
     def test_quotient_by_torsion(self, G):
@@ -293,3 +341,18 @@ class TestQuotients:
                 sample = qm.descriptor.elements()
             for q in sample:
                 assert qm.project(qm.section(q)) == q
+
+    @pytest.mark.parametrize("G, K", COORDINATE_CASES, ids=COORDINATE_IDS)
+    def test_quotient_map_is_a_homomorphism_with_kernel_K(self, G, K):
+        qm = QuotientMap(G, K)
+        Q = qm.descriptor
+        if not G.is_infinite:
+            assert Q.order * K.order == G.order
+        sample = list(G.window_elements(COORDINATE_WINDOW))
+        for g in sample:
+            assert (qm.project(g) == Q.identity) == K.contains(g)
+        for x in GENERATORS:
+            for g in sample:
+                assert qm.project(G.mul(x, g)) == Q.mul(qm.project(x), qm.project(g))
+        for q in Q.window_elements(COORDINATE_WINDOW):
+            assert qm.project(qm.section(q)) == q
