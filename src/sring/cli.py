@@ -30,9 +30,9 @@ from .classify import (
     resynthesize,
 )
 from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
-from .enumeration import enumerate_finite, enumerate_windowed, is_traditional
+from .enumeration import DEFAULT_FINITE_BOUND, enumerate_finite, enumerate_windowed, is_traditional
 from .errors import BoundExceeded, SchurError, Unclassifiable, WindowTooSmall
-from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
+from .groups import DEFAULT_ORBIT_BOUND, GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
     SchurPresentation,
     check_partition,
@@ -64,8 +64,8 @@ MAX_CONSTRUCT_ELEMENTS = 10**6
 
 _DEFAULTS = {
     "window": RECOMMENDED_WINDOW,
-    "finite_bound": 16,
-    "orbit_bound": 64,
+    "finite_bound": DEFAULT_FINITE_BOUND,
+    "orbit_bound": DEFAULT_ORBIT_BOUND,
 }
 
 

@@ -7,8 +7,10 @@ their output can falsify the classifier at desk scale.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain, product
+from typing import Callable, Iterator, Sequence
 
 from .constructions import orbit_ring
 from .errors import BoundExceeded, InfiniteGroup
@@ -25,7 +27,6 @@ from .schur import (
     VALID,
     class_product,
     class_stabilizer,
-    is_ssubgroup,
     is_union,
     quotient,
     restrict,
@@ -41,20 +42,47 @@ MAX_WINDOW = 6
 # -- exhaustive enumeration over finite groups --------------------------------
 
 
-def _closed(classes: list[frozenset], fresh: Sequence[frozenset], group: GroupDescriptor) -> bool:
+def _closed(classes: list[frozenset], fresh: Sequence[frozenset], multiply: Callable) -> bool:
     """Whether each product of a fresh class with a class of ``classes`` is
     constant on every class of ``classes`` it meets; both searches prune on it.
 
-    ``fresh`` are the classes just added, which end ``classes``; pairs of
-    older classes were tested when the younger of the two was added.
+    ``multiply(c, d)`` counts the class-sum product per element.  ``fresh``
+    are the classes just added, which end ``classes``; pairs of older classes
+    were tested when the younger of the two was added.  ``classes[0]`` is the
+    identity class, skipped since C{1} = C is constant on C.
     """
     member = {g: c for c in classes for g in c}
     start = len(classes) - len(fresh)
     return all(
-        split_class(class_product(classes[i], d, group), member) is None
+        split_class(multiply(classes[i], d), member) is None
         for i in range(start, len(classes))
-        for d in classes[: i + 1]
+        for d in classes[1 : i + 1]
     )
+
+
+def _star_pairs(remaining: Sequence[int], inv: Sequence[int]) -> Iterator[list[frozenset]]:
+    """The fresh classes holding the least of the star-closed ``remaining``.
+
+    A self-inverse class is the least element, its inverse and any union of
+    whole inverse pairs {g, g^-1}.  A class disjoint from its star holds the
+    least element (not an involution) and at most one element of each other
+    non-involution pair; it is yielded with its star.
+    """
+    least = remaining[0]
+    pairs = [(g, inv[g]) for g in remaining if least != g != inv[least] and g <= inv[g]]
+    for picks in product(*[((), pair) for pair in pairs]):
+        yield [frozenset((least, inv[least], *chain(*picks)))]
+    if inv[least] != least:
+        for picks in product(*[((), (g,), (h,)) for g, h in pairs if g != h]):
+            cls = frozenset((least, *chain(*picks)))
+            yield [cls, frozenset(inv[g] for g in cls)]
+
+
+def _subsets(remaining: Sequence) -> Iterator[list[frozenset]]:
+    """Every subset of ``remaining`` holding its least element."""
+    least, rest = remaining[0], remaining[1:]
+    for mask in range(2 ** len(rest)):
+        yield [frozenset([least] + [rest[i] for i in range(len(rest)) if mask >> i & 1])]
 
 
 def enumerate_finite(
@@ -64,45 +92,44 @@ def enumerate_finite(
 ) -> list[SchurPresentation]:
     """All Schur-ring partitions of a finite group, sorted by their classes.
 
-    Backtracking puts the least unassigned element into a fresh class (every
-    subset of the unassigned elements containing it is tried).  With
-    ``prune`` the star of the class is forced at once, and a branch is cut
-    when a product with a fresh class is not constant on some class (see
-    :func:`_closed`).  ``prune=False`` enumerates raw partitions; the final
-    arbiter is verify_axioms either way, so both modes return the same list.
+    The search runs on element indices in sorted order (0 is the identity)
+    with a Cayley table.  Backtracking puts the least unassigned element into
+    a fresh class.  ``prune=False`` tries every subset of the unassigned
+    elements holding it.  With ``prune`` only star-closed classes or
+    class-and-star pairs are tried (:func:`_star_pairs`), which are exactly
+    the subsets that pass the star axiom; so the unassigned elements stay
+    star-closed and no ring is lost.  A branch is also cut when a product
+    with a fresh class is not constant on some class (:func:`_closed`).  The
+    final arbiter is verify_axioms either way, so both modes return the same
+    list.
     """
     if group.is_infinite:
         raise InfiniteGroup("enumeration needs a finite group")
     if group.order > bound:
         raise BoundExceeded(f"|G| = {group.order} exceeds bound {bound}")
-    identity = group.identity
-    pool = tuple(sorted(g for g in group.elements() if g != identity))
+    n, m = group.free_order, group.torsion_order
+    elems = sorted(group.elements())
+    index = {g: i for i, g in enumerate(elems)}
+    inv = [index[-z % n, -a % m] for z, a in elems]
+    table = [[index[(z + y) % n, (a + b) % m] for y, b in elems] for z, a in elems]
     results: list[SchurPresentation] = []
 
-    def extend(classes: list[frozenset], remaining: tuple[GroupElement, ...]) -> None:
+    def multiply(c: frozenset, d: frozenset) -> Counter:
+        return Counter([table[x][y] for x in c for y in d])
+
+    def extend(classes: list[frozenset], remaining: tuple[int, ...]) -> None:
         if not remaining:
-            P = SchurPresentation(group, classes)
+            P = SchurPresentation(group, [[elems[i] for i in c] for c in classes])
             if verify_axioms(P).verdict == VALID:
                 results.append(P)
             return
-        least, rest = remaining[0], remaining[1:]
-        for mask in range(2 ** len(rest)):
-            cls = frozenset(
-                [least] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            )
-            fresh = [cls]
-            if prune:
-                cls_star = star(cls, group)
-                if cls_star != cls:
-                    if cls_star & cls or not cls_star <= set(rest):
-                        continue
-                    fresh.append(cls_star)
-                if not _closed(classes + fresh, fresh, group):
-                    continue
+        for fresh in _star_pairs(remaining, inv) if prune else _subsets(remaining):
+            if prune and not _closed(classes + fresh, fresh, multiply):
+                continue
             used = set().union(*fresh)
             extend(classes + fresh, tuple(g for g in remaining if g not in used))
 
-    extend([frozenset([identity])], pool)
+    extend([frozenset([0])], tuple(range(1, len(elems))))
     return sorted(results, key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
 
 
@@ -157,9 +184,11 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
         return TraditionalityResult("orbit", generators=canonical_generators(S))
 
     proper = [
-        (H, frozenset(H.elements()))
+        (H, h_elems)
         for H in all_subgroups(G)
-        if not H.is_trivial and H.order != G.order and is_ssubgroup(P, H)
+        if not H.is_trivial and H.order != G.order
+        for h_elems in [frozenset(H.elements())]
+        if all(c <= h_elems or c.isdisjoint(h_elems) for c in P.classes)
     ]
     for H, h_elems in proper:
         for K, k_elems in proper:
@@ -199,12 +228,8 @@ def _set_partitions(items: Sequence) -> Iterator[list[frozenset]]:
     if not items:
         yield []
         return
-    first, rest = items[0], items[1:]
-    for mask in range(2 ** len(rest)):
-        chosen = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        cls = frozenset([first] + chosen)
-        others = [x for x in rest if x not in cls]
-        for sub in _set_partitions(others):
+    for [cls] in _subsets(items):
+        for sub in _set_partitions([x for x in items if x not in cls]):
             yield [cls] + sub
 
 
@@ -289,6 +314,9 @@ def enumerate_windowed(
     ]
     results = []
 
+    def multiply(c: frozenset, d: frozenset) -> dict:
+        return class_product(c, d, group)
+
     def extend(classes: list[frozenset], level: int, candidates: dict, mode: str) -> None:
         if level > window:
             if _small_class_rule(classes, window):
@@ -298,7 +326,7 @@ def enumerate_windowed(
             return
         for layout in candidates[level]:
             extended = classes + list(layout)
-            if _closed(extended, layout, group) and _squares_closed(extended, group.torsion_order):
+            if _closed(extended, layout, multiply) and _squares_closed(extended, group.torsion_order):
                 extend(extended, level + 1, candidates, mode)
 
     for mode in ("discrete", "symmetric"):

@@ -20,12 +20,19 @@ from sring import (
     verify_axioms,
     verify_wielandt,
 )
+from sring.cli import parse_group
+from sring.enumeration import _star_pairs
 from sring.groups import close_automorphisms
+from sring.schur import star
 
 # enumerate_windowed(w, projection) for w = 1-5, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded before the window search was rewritten.
 # The output is not sorted, so this pins the search order as well.
 WINDOWED_GOLDEN = json.loads((Path(__file__).parent / "windowed_golden.json").read_text())
+
+# enumerate_finite(G) as [P.to_json() for P in ...], keyed by the CLI group
+# label; recorded with the subset search that tried every 2^(r-1) subset.
+FINITE_GOLDEN = json.loads((Path(__file__).parent / "finite_golden.json").read_text())
 
 # Counts below with no literature anchor were frozen from the first verified
 # run (pruned and unpruned searches agree, and every member passes both
@@ -237,6 +244,45 @@ class TestEnumerateFinite:
         raw = enumerate_finite(G, prune=False)
         assert [P.classes for P in pruned] == [P.classes for P in raw]
 
+    @pytest.mark.parametrize("label", sorted(FINITE_GOLDEN))
+    def test_golden_output(self, label):
+        assert [P.to_json() for P in enumerate_finite(parse_group(label))] == FINITE_GOLDEN[label]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [(n, m) for n in range(1, 13) for m in range(1, 13) if 2 <= n * m <= 12],
+        ids=lambda spec: "Z{}xZ{}".format(*spec),
+    )
+    def test_star_pairs_match_the_star_filtered_mask_loop(self, spec):
+        # the reference is the pruned search's former candidate loop: every
+        # subset of the unassigned elements holding the least one, kept when
+        # it is star-closed or disjoint from its star (then added with it)
+        G = GroupDescriptor(*spec)
+        elems = sorted(G.elements())
+        inv = [elems.index(G.inverse(g)) for g in elems]
+        pairs = sorted({frozenset([g, G.inverse(g)]) for g in elems if g != G.identity}, key=sorted)
+
+        def mask_loop(remaining):
+            least, rest = remaining[0], remaining[1:]
+            kept = []
+            for mask in range(2 ** len(rest)):
+                cls = frozenset([least] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
+                cls_star = star(cls, G)
+                if cls_star != cls and (cls_star & cls or not cls_star <= set(rest)):
+                    continue
+                kept.append(frozenset([cls, cls_star]))
+            return kept
+
+        # every star-closed set of unassigned elements: a union of inverse pairs
+        for mask in range(1, 2 ** len(pairs)):
+            remaining = sorted(set().union(*(p for i, p in enumerate(pairs) if mask >> i & 1)))
+            got = [
+                frozenset(frozenset(elems[i] for i in c) for c in fresh)
+                for fresh in _star_pairs([elems.index(g) for g in remaining], inv)
+            ]
+            assert len(got) == len(set(got))
+            assert set(got) == set(mask_loop(remaining))
+
     def test_determinism(self):
         G = GroupDescriptor(1, 8)
         first = [P.classes for P in enumerate_finite(G)]
@@ -307,9 +353,10 @@ class TestIsTraditional:
         K, H = result.tower
         assert K.order == 3 and H.order == 3
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", [*range(2, 11), 17, 18, 19, 20])
     def test_cyclic_groups_all_traditional(self, n):
-        for P in enumerate_finite(GroupDescriptor(1, n)):
+        # Leung-Man: every Schur ring over a cyclic group is traditional
+        for P in enumerate_finite(GroupDescriptor(1, n), bound=64):
             assert is_traditional(P), P.describe()
 
     @pytest.mark.parametrize(
@@ -342,11 +389,11 @@ class TestIsTraditional:
         ]
         assert close_automorphisms(result.generators) == frozenset(class_stabilizer(P))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
     def test_prime_cyclic_rings_match_subgroups_of_aut(self, p):
         # the Schur rings over Z_p are the orbit rings of the subgroups of the
         # cyclic group Aut(Z_p), so there are d(p - 1) of them
-        rings = enumerate_finite(GroupDescriptor(1, p))
+        rings = enumerate_finite(GroupDescriptor(1, p), bound=64)
         assert len(rings) == sum(1 for k in range(1, p) if (p - 1) % k == 0)
         assert {is_traditional(P).kind for P in rings} <= {"trivial", "orbit"}
 
