@@ -1,7 +1,7 @@
 """Brute-force censuses: finite groups and windows of Z x Z_3.
 
-The enumerator works from the axioms plus proven closure facts, so its output
-independently cross-checks the classifier.
+The enumerators work from the axioms alone, none of the paper's lemmas, so
+their output independently cross-checks the classifier.
 """
 
 from collections import Counter

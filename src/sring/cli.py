@@ -211,10 +211,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     if args.windowed is not None:
+        if args.finite_bound is not None:
+            raise ValueError("--finite-bound applies only with --group")
         presentations = enumerate_windowed(args.windowed, projection=args.projection)
         label = f"ZxZ3 window {args.windowed}"
         histogram: dict[str, int] = {}
     else:
+        if args.projection is not None:
+            raise ValueError("--projection applies only with --windowed")
         group = parse_group(args.group)
         presentations = enumerate_finite(group, bound=settings.finite_bound)
         label = args.group
@@ -311,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     target = p_enum.add_mutually_exclusive_group(required=True)
     target.add_argument("--group", help="finite group, e.g. Z6 or Z4xZ3")
     target.add_argument("--windowed", type=int, help="window over ZxZ3")
-    p_enum.add_argument("--projection", choices=["discrete", "symmetric"], default=None)
-    p_enum.add_argument("--finite-bound", dest="finite_bound", type=int, default=None)
+    p_enum.add_argument("--projection", choices=["discrete", "symmetric"], default=None,
+                        help="with --windowed only")
+    p_enum.add_argument("--finite-bound", dest="finite_bound", type=int, default=None,
+                        help="with --group only")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_lemmas = sub.add_parser("check-lemmas", help="run the closure-law checks on a presentation")

@@ -1,8 +1,8 @@
 """Brute-force oracles: exhaustive enumeration and traditionality detection.
 
-These searches are deliberately independent of the classifier: they work from
-the axioms (plus a handful of proven closure facts used as pruning rules) so
-their output can falsify the classifier at desk scale.
+These searches are deliberately independent of the classifier and of the
+paper's lemmas: they work from the axioms alone, so their output can falsify
+the classifier at desk scale.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     Automorphism,
     GroupDescriptor,
-    GroupElement,
     Subgroup,
     all_subgroups,
     canonical_generators,
@@ -27,7 +26,6 @@ from .schur import (
     VALID,
     class_product,
     class_stabilizer,
-    is_union,
     quotient,
     restrict,
     split_class,
@@ -36,7 +34,7 @@ from .schur import (
 )
 
 DEFAULT_FINITE_BOUND = 16
-MAX_WINDOW = 6
+MAX_WINDOW = 12
 
 
 # -- exhaustive enumeration over finite groups --------------------------------
@@ -234,62 +232,22 @@ def _set_partitions(items: Sequence) -> Iterator[list[frozenset]]:
 
 
 def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[frozenset, ...]]:
-    """Admissible class layouts for the z-levels +-k.
+    """The class layouts of the z-levels +-k, sorted.
 
-    Discrete projections partition the coset at +k (the -k side is the star
-    image).  Symmetric projections partition the combined six-element slab
-    into star-closed classes, each meeting both signs; three-element classes
-    are excluded outright since a mixed-sign triple can never be a torsion
-    coset.
+    A layout is a star-closed set partition of the torsion cosets at +-k (less
+    the identity) whose every class projects modulo torsion onto one class of
+    the ``mode`` ring over Z: {k} or {-k} if discrete, {k, -k} if symmetric.
+    At level 0 both modes give the two partitions of {a, a^2}.
     """
-    out = []
-    if mode == "discrete":
-        coset = sorted(group.coset_of_torsion(k))
-        for parts in _set_partitions(coset):
-            layout = tuple(parts) + tuple(star(c, group) for c in parts)
-            out.append(layout)
-    else:
-        slab = sorted(group.coset_of_torsion(k) | group.coset_of_torsion(-k))
-        for parts in _set_partitions(slab):
-            classes = tuple(parts)
-            if any(len({1 if g.z_exp > 0 else -1 for g in c}) != 2 for c in classes):
-                continue
-            if any(len(c) == 3 for c in classes):
-                continue
-            if {star(c, group) for c in classes} != set(classes):
-                continue
-            out.append(classes)
+    shadows = [{k}, {-k}] if mode == "discrete" else [{k, -k}]
+    slab = (group.coset_of_torsion(k) | group.coset_of_torsion(-k)) - {group.identity}
+    out = [
+        tuple(parts)
+        for parts in _set_partitions(slab)
+        if all({g.z_exp for g in c} in shadows for c in parts)
+        and {star(c, group) for c in parts} == set(parts)
+    ]
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
-
-
-def _squares_closed(classes: list[frozenset], m: int) -> bool:
-    """Closure under the squaring transport (coprime to the torsion order m):
-    each class's image under g -> g^2, once inside the window, is a union of
-    classes.  Only the support of the transported class sum matters, and the
-    search group Z x Z_m needs no reduction of the free exponent.
-    """
-    lookup = {g: c for c in classes for g in c}
-    for c in classes:
-        squares = {(2 * z, 2 * a % m) for z, a in c}
-        if squares <= lookup.keys() and not is_union(squares, lookup):
-            return False
-    return True
-
-
-def _small_class_rule(classes: list[frozenset], window: int) -> bool:
-    """Classes of size < 3 push z^(3m) into the pure-z part of the window."""
-    lookup = {g: c for c in classes for g in c}
-    for c in classes:
-        if len(c) >= 3:
-            continue
-        for g in c:
-            target = GroupElement(3 * g.z_exp, 0)
-            if abs(target.z_exp) > window or target.z_exp == 0:
-                continue
-            target_class = lookup.get(target)
-            if target_class is None or any(x.a_exp for x in target_class):
-                return False
-    return True
 
 
 def enumerate_windowed(
@@ -298,41 +256,37 @@ def enumerate_windowed(
 ) -> list[SchurPresentation]:
     """All window-consistent partitions of the window of Z x Z_3.
 
-    Constraints: {1} is a class, star closure, the torsion subgroup is an
-    S-subgroup, the projection modulo torsion is a discrete or symmetric
-    window over Z, exact in-window product closure, closure under the
-    squaring transport, the coset-or-size class-shape rule, and the
-    small-class power rule.  ``projection`` filters to one projection type.
+    The search uses the axioms alone.  It lays out the classes level by level
+    from z^0 (:func:`_level_candidates`): {1} is a class, classes are
+    star-closed, and each class projects modulo torsion onto one class of the
+    discrete or symmetric ring over Z, so the torsion subgroup is an
+    S-subgroup.  A branch is cut when an in-window product is not constant on
+    a class (:func:`_closed`), and verify_axioms decides each leaf.  None of
+    the paper's lemmas shapes the search; they are checked on finished rings
+    (``check-lemmas``).  ``projection`` filters to one projection type.
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")
     group = GroupDescriptor(0, 3)
-    a, a2 = GroupElement(0, 1), GroupElement(0, 2)
-    torsion_layouts = [
-        (frozenset([a]), frozenset([a2])),
-        (frozenset([a, a2]),),
-    ]
     results = []
 
     def multiply(c: frozenset, d: frozenset) -> dict:
         return class_product(c, d, group)
 
-    def extend(classes: list[frozenset], level: int, candidates: dict, mode: str) -> None:
+    def extend(classes: list[frozenset], level: int, candidates: list, mode: str) -> None:
         if level > window:
-            if _small_class_rule(classes, window):
-                P = SchurPresentation(group, classes, window=window, tag=f"windowed({mode})")
-                if verify_axioms(P).ok:
-                    results.append(P)
+            P = SchurPresentation(group, classes, window=window, tag=f"windowed({mode})")
+            if verify_axioms(P).ok:
+                results.append(P)
             return
         for layout in candidates[level]:
             extended = classes + list(layout)
-            if _closed(extended, layout, multiply) and _squares_closed(extended, group.torsion_order):
+            if _closed(extended, layout, multiply):
                 extend(extended, level + 1, candidates, mode)
 
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
-        candidates = {k: _level_candidates(group, k, mode) for k in range(1, window + 1)}
-        for torsion in torsion_layouts:
-            extend([frozenset([group.identity]), *torsion], 1, candidates, mode)
+        candidates = [_level_candidates(group, k, mode) for k in range(window + 1)]
+        extend([frozenset([group.identity])], 0, candidates, mode)
     return results

@@ -34,6 +34,7 @@ from sring import (
     verify_wielandt,
 )
 from sring.constructions import IncompatibleWedge
+from sring.enumeration import MAX_WINDOW
 from sring.schur import (
     class_shape_holds,
     frobenius_closure_holds,
@@ -215,26 +216,36 @@ class TestCriterion3MainTheoremRoundTrip:
 
 
 class TestCriterion4DeskScaleExhaustiveness:
-    @pytest.mark.parametrize("window", [3, 4])
+    @pytest.mark.parametrize("window", range(3, MAX_WINDOW + 1))
     def test_every_window_classifies(self, window):
+        # the search uses the axioms alone, so the lemma checks here are a
+        # test of the paper's lemmas on every ring it finds
         start = time.time()
         presentations = enumerate_windowed(window)
-        unclassifiable = []
+        failures = []
         for P in presentations:
             try:
-                classify(P)
+                if resynthesize(classify(P), window).classes != P.classes:
+                    failures.append((P.describe(), "round trip"))
+                checks = [
+                    frobenius_closure_holds(P, 2),
+                    class_shape_holds(P),
+                    power_in_subgroup_holds(P, find_H(P)),
+                ]
+                failures.extend((P.describe(), msg) for ok, msg in checks if not ok)
             except Exception as ex:  # noqa: BLE001 - any failure counts
-                unclassifiable.append((P.describe(), repr(ex)))
+                failures.append((P.describe(), repr(ex)))
         elapsed = time.time() - start
-        ok = not unclassifiable
+        ok = not failures and len(presentations) == 11 * window + 4
         _report(
             4,
             f"desk-scale exhaustiveness (N={window})",
             ok,
-            f"{len(presentations)} window partitions, {len(unclassifiable)} unclassifiable",
+            f"{len(presentations)} window partitions, {len(failures)} failures",
             elapsed,
         )
-        assert ok, unclassifiable
+        assert len(presentations) == 11 * window + 4
+        assert not failures, failures
 
 
 class TestCriterion5LemmaSuite:

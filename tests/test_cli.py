@@ -87,6 +87,11 @@ MALFORMED = [
                  id="config-missing-enumerate"),
     pytest.param(CONSTRUCT, {"SRING_WINDOW": "abc"}, id="env-window"),
     pytest.param(["enumerate", "--group", "Z3"], {"SRING_FINITE_BOUND": "abc"}, id="env-bound"),
+    pytest.param(["enumerate", "--group", "Z3", "--projection", "symmetric"], {},
+                 id="projection-without-windowed"),
+    pytest.param(["enumerate", "--windowed", "3", "--finite-bound", "16"], {},
+                 id="finite-bound-with-windowed"),
+    pytest.param(["enumerate", "--windowed", "13"], {}, id="windowed-above-cap"),
     *[pytest.param([*command.split(), f"@{name}"], {}, id=f"{command}-{name}")
       for command in ("verify", "classify", "check-lemmas")
       for name in ("array", "group5", "classes5", "float_exponent", "deep", "huge_window")],
@@ -248,6 +253,12 @@ class TestEnumerate:
         lines = out.splitlines()
         summary = json.loads(lines[-1])
         assert summary["count"] == len(lines) - 1 > 0
+
+    def test_windowed_ignores_a_bound_from_the_environment(self, capsys, monkeypatch):
+        # only the --finite-bound flag is rejected with --windowed
+        monkeypatch.setenv("SRING_FINITE_BOUND", "16")
+        code, out, _ = invoke(capsys, "--json", "enumerate", "--windowed", "1")
+        assert code == 0 and json.loads(out.splitlines()[-1])["count"] == 15
 
 
 class TestCheckLemmas:

@@ -21,13 +21,14 @@ from sring import (
     verify_wielandt,
 )
 from sring.cli import parse_group
-from sring.enumeration import _star_pairs
+from sring.enumeration import MAX_WINDOW, _level_candidates, _set_partitions, _star_pairs
 from sring.groups import close_automorphisms
 from sring.schur import star
 
-# enumerate_windowed(w, projection) for w = 1-5, as [P.to_json() for P in ...],
-# keyed "<w> <projection>"; recorded before the window search was rewritten.
-# The output is not sorted, so this pins the search order as well.
+# enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
+# keyed "<w> <projection>"; recorded while the window search still pruned with
+# the paper's lemmas.  The output is not sorted, so this pins the search order
+# as well.
 WINDOWED_GOLDEN = json.loads((Path(__file__).parent / "windowed_golden.json").read_text())
 
 # enumerate_finite(G) as [P.to_json() for P in ...], keyed by the CLI group
@@ -433,11 +434,11 @@ class TestEnumerateWindowed:
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            enumerate_windowed(7)
+            enumerate_windowed(MAX_WINDOW + 1)
         with pytest.raises(BoundExceeded):
             enumerate_windowed(0)
 
-    @pytest.mark.parametrize("window", range(1, 6))
+    @pytest.mark.parametrize("window", range(1, 7))
     @pytest.mark.parametrize("projection", [None, "discrete", "symmetric"])
     def test_golden_output_order(self, window, projection):
         golden = WINDOWED_GOLDEN
@@ -445,13 +446,33 @@ class TestEnumerateWindowed:
         expected = [P for mode in modes for P in golden[f"{window} {mode}"]]
         assert [P.to_json() for P in enumerate_windowed(window, projection)] == expected
 
-    @pytest.mark.parametrize("window", [5, 6])
-    def test_larger_windows_all_classify(self, window):
-        # beyond the acceptance-mandated 3 and 4: a stronger falsification
-        # attempt at the classifier's completeness
-        from sring import classify
 
-        out = enumerate_windowed(window)
-        assert out
-        for P in out:
-            classify(P)
+    @pytest.mark.parametrize("k", range(5))
+    def test_level_candidates_against_the_lemma_pruned_generator(self, G, k):
+        # the two-branch generator of the lemma-pruned search, kept as the
+        # reference; it seeded level 0 with the two torsion layouts
+        key = lambda layout: sorted(tuple(sorted(c)) for c in layout)
+        a, a2 = G.element(0, 1), G.element(0, 2)
+        torsion = [(frozenset([a]), frozenset([a2])), (frozenset([a, a2]),)]
+        discrete = [
+            tuple(parts) + tuple(star(c, G) for c in parts)
+            for parts in _set_partitions(G.coset_of_torsion(k))
+        ]
+        symmetric = [
+            tuple(parts)
+            for parts in _set_partitions(G.coset_of_torsion(k) | G.coset_of_torsion(-k))
+            if all(len({g.z_exp > 0 for g in c}) == 2 for c in parts)
+            and all(len(c) != 3 for c in parts)
+            and {star(c, G) for c in parts} == set(parts)
+        ]
+        layouts = lambda out: [set(layout) for layout in out]
+        for mode, old in (("discrete", discrete), ("symmetric", symmetric)):
+            new = _level_candidates(G, k, mode)
+            if k == 0:
+                assert layouts(new) == layouts(torsion)
+            elif mode == "discrete":
+                assert layouts(new) == layouts(sorted(old, key=key))
+            else:
+                kept = [layout for layout in new if all(len(c) != 3 for c in layout)]
+                assert len(new) - len(kept) == 3
+                assert layouts(kept) == layouts(sorted(old, key=key))
