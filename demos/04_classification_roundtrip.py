@@ -8,16 +8,13 @@ by re-synthesis.
 from sring import (
     GroupDescriptor,
     Subgroup,
-    WedgeSpec,
     classify,
-    discrete,
     find_H,
     named_automorphism,
     orbit_ring,
     projection_type,
     resynthesize,
     standard_wedge,
-    wedge,
 )
 
 G = GroupDescriptor(0, 3)
@@ -41,7 +38,7 @@ print("   round-trip exact:", rebuilt.classes == P.classes)
 H = Subgroup.free_power_with_torsion(G, 2)
 h_desc, _ = H.as_group()
 inner = orbit_ring(h_desc, [named_automorphism("psi", h_desc)], N // 2)
-exotic = wedge(WedgeSpec(H, Subgroup.torsion(G), inner, discrete(GroupDescriptor(0, 1), N)), N)
+exotic = standard_wedge(G, 2, inner, "discrete", N)
 d = classify(exotic)
 print("wedge with orbit inner ->", d.describe())
 print("   JSON:", d.to_json())

@@ -1,10 +1,12 @@
 """Family classification of verified windowed presentations over Z x Z_3.
 
-The classifier walks the same case tree as the structure theorem: project to
-the free quotient (discrete or symmetric), find the largest level whose class
-degenerates from a full torsion preimage, and either recover an automorphism
-group (orbit family) or peel off a wedge tower and recurse on the middle
-subgroup.  Every answer is validated by re-synthesis: the descriptor must
+The classifier walks the case tree of the structure theorem in one pass.  The
+shadows of the classes (their images modulo torsion) give the projection,
+discrete or symmetric.  The first level d whose class is not a union of
+torsion cosets then picks one of three cases: none, a wedge over the torsion
+subgroup; d == 1, a full or orbit ring, read off the automorphisms that fix
+every class; d > 1, a wedge with middle subgroup <z^d> x <a> around a full or
+orbit ring.  Every answer is validated by re-synthesis: the descriptor must
 reproduce the input class-for-class on its window.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .constructions import discrete, orbit_ring, standard_wedge, symmetric, wedge, WedgeSpec
+from .constructions import discrete, orbit_ring, standard_wedge, symmetric
 from .errors import Unclassifiable, UnrecognizedQuotient, WindowTooSmall
 from .groups import (
     Automorphism,
@@ -27,12 +29,13 @@ from .groups import (
 )
 from .schur import (
     SchurPresentation,
+    check_partition,
     class_shape_holds,
     class_stabilizer,
     is_ssubgroup,
     power_in_subgroup_holds,
-    quotient,
     restrict,
+    shadow,
     torsion_is_ssubgroup,
 )
 
@@ -157,59 +160,52 @@ def find_H(P: SchurPresentation) -> Subgroup:
 
 
 def projection_type(P: SchurPresentation) -> str:
-    """Type of the quotient modulo torsion: "discrete" or "symmetric"."""
+    """Type of the quotient modulo torsion: "discrete" or "symmetric".
+
+    The quotient's classes are the shadows of P's classes; they must form the
+    discrete ring {k} or the symmetric ring {k, -k} over the window of Z.
+    """
     _require_group(P)
     if not torsion_is_ssubgroup(P):
         raise UnrecognizedQuotient("the torsion subgroup is not an S-subgroup")
-    q = quotient(P, Subgroup.torsion(P.group))
-    classes = set(q.classes)
-    n = q.window
-    if all(frozenset({GroupElement(k, 0)}) in classes for k in range(-n, n + 1)):
-        if len(classes) == 2 * n + 1:
-            return DISCRETE
-    sym = {frozenset({GroupElement(0, 0)})}
-    sym |= {frozenset({GroupElement(k, 0), GroupElement(-k, 0)}) for k in range(1, n + 1)}
-    if classes == sym:
+    shadows = {shadow(c) for c in P.classes}
+    levels = range(P.window + 1)
+    if shadows == {frozenset({s * k}) for k in levels for s in (1, -1)}:
+        return DISCRETE
+    if shadows == {frozenset({k, -k}) for k in levels}:
         return SYMMETRIC
     raise UnrecognizedQuotient(
         "quotient modulo torsion is neither discrete nor symmetric"
     )
 
 
-def _class_signs(c: frozenset) -> set[int]:
-    return {(-1 if g.z_exp < 0 else 1) for g in c}
+def _is_full(c: frozenset) -> bool:
+    """Whether a class is a union of whole torsion cosets."""
+    return len(c) == len(shadow(c)) * Z_CROSS_Z3.torsion_order
 
 
-def _full_preimage(P: SchurPresentation, k: int, mode: str) -> frozenset:
-    if mode == DISCRETE:
-        return P.group.coset_of_torsion(k)
-    return frozenset(P.group.coset_of_torsion(k) | P.group.coset_of_torsion(-k))
+def _orbit_family(P: SchurPresentation) -> FamilyDescriptor:
+    """The full or orbit ring whose automorphisms fix every class of P."""
+    k_max = class_stabilizer(P)
+    gens = canonical_generators(k_max)
+    if not gens:
+        return FamilyDescriptor("full", symmetric=False)
+    if len(k_max) == 2 and gens[0] == Automorphism.inversion(P.group):
+        return FamilyDescriptor("full", symmetric=True)
+    return FamilyDescriptor("orbit", generators=gens)
 
 
-def _detect_mode(P: SchurPresentation) -> str:
-    modes = set()
-    for k in range(1, P.window + 1):
-        c = P.class_of(GroupElement(k, 0))
-        if c is None:
-            continue
-        signs = _class_signs(c)
-        modes.add(SYMMETRIC if signs == {1, -1} else DISCRETE)
-    if len(modes) != 1:
-        raise Unclassifiable("free levels mix single-signed and symmetric classes")
-    return modes.pop()
+def _classify_core(P: SchurPresentation, mode: str) -> FamilyDescriptor:
+    """The three cases of the structure theorem, told apart by the first level
+    d whose class is not full (not a union of torsion cosets).
 
-
-def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
-    """Recursive case analysis; window may be as small as 1 in recursion."""
-    G = P.group
-    mode = _detect_mode(P)
-    degenerate = None
-    for k in range(1, P.window + 1):
-        if P.class_of(GroupElement(k, 0)) != _full_preimage(P, k, mode):
-            degenerate = k
-            break
-
-    if degenerate is None:
+    No such d: a wedge over the torsion subgroup.  d == 1: a full or orbit
+    ring.  d > 1: every level off the multiples of d is full, and P is a wedge
+    with middle subgroup <z^d> x <a>.  Level 1 of the inner ring there is
+    level d of P, so the inner ring is a full or orbit ring in turn.
+    """
+    partial = [k for k in range(1, P.window + 1) if not _is_full(P.class_of(GroupElement(k, 0)))]
+    if not partial:
         torsion_class = P.class_of(GroupElement(0, 1))
         if torsion_class == frozenset({GroupElement(0, 1)}):
             inner = DISCRETE
@@ -219,25 +215,17 @@ def _classify_core(P: SchurPresentation) -> FamilyDescriptor:
             raise Unclassifiable("torsion classes match no Schur ring over Z_3")
         return FamilyDescriptor("wedge", tower_step=0, inner=inner, outer=mode)
 
-    if degenerate == 1:
-        k_max = class_stabilizer(P)
-        gens = canonical_generators(k_max)
-        if not gens:
-            return FamilyDescriptor("full", symmetric=False)
-        if len(k_max) == 2 and gens[0] == Automorphism.inversion(G):
-            return FamilyDescriptor("full", symmetric=True)
-        return FamilyDescriptor("orbit", generators=gens)
-
-    for k in range(1, P.window + 1):
-        if k % degenerate and P.class_of(GroupElement(k, 0)) != _full_preimage(P, k, mode):
-            raise Unclassifiable(
-                f"level {k} degenerates outside the tower of step {degenerate}"
-            )
-    middle = Subgroup.free_power_with_torsion(G, degenerate)
+    d = partial[0]
+    if d == 1:
+        return _orbit_family(P)
+    stray = next((k for k in partial if k % d), None)
+    if stray is not None:
+        raise Unclassifiable(f"level {stray} degenerates outside the tower of step {d}")
+    middle = Subgroup.free_power_with_torsion(P.group, d)
     if not is_ssubgroup(P, middle):
         raise Unclassifiable(f"the middle subgroup {middle} is split by a class")
-    inner = _classify_core(restrict(P, middle))
-    return FamilyDescriptor("wedge", tower_step=degenerate, inner=inner, outer=mode)
+    return FamilyDescriptor("wedge", tower_step=d, inner=_orbit_family(restrict(P, middle)),
+                            outer=mode)
 
 
 def classify(P: SchurPresentation) -> FamilyDescriptor:
@@ -245,19 +233,21 @@ def classify(P: SchurPresentation) -> FamilyDescriptor:
 
     Returns a descriptor whose re-synthesis reproduces P class-for-class on
     the window, raising Unclassifiable otherwise (which, for genuinely
-    verified inputs, the structure theorem rules out).  Windows below 3 are
+    verified inputs, the structure theorem rules out).  A partition with a
+    gap or an overlap raises MalformedPartition.  Windows below 3 are
     rejected; 12 is the recommended minimum for full-confidence answers.
     """
+    check_partition(P)
     _require_group(P)
     if P.window < MIN_CLASSIFY_WINDOW:
         raise WindowTooSmall(
             f"window {P.window} < {MIN_CLASSIFY_WINDOW}; classification needs to see the classes of z, z^2, z^3"
         )
-    projection_type(P)  # validates torsion + dichotomy guards
+    mode = projection_type(P)  # validates torsion + dichotomy guards
     ok, msg = class_shape_holds(P)
     if not ok:
         raise Unclassifiable(f"class-shape dichotomy fails: {msg}")
-    descriptor = replace(_classify_core(P), confidence_window=P.window)
+    descriptor = replace(_classify_core(P, mode), confidence_window=P.window)
     ok, msg = power_in_subgroup_holds(P, find_H(P))
     if not ok:
         raise Unclassifiable(f"small-class power rule fails: {msg}")
@@ -277,15 +267,9 @@ def resynthesize(d: FamilyDescriptor, window: int) -> SchurPresentation:
     if d.variant == "orbit":
         return orbit_ring(G, d.generators, window)
     if d.variant == "wedge":
-        if d.tower_step == 0:
-            return standard_wedge(G, 0, d.inner, d.outer, window)
-        inner = resynthesize(d.inner, window // d.tower_step)
-        middle = Subgroup.free_power_with_torsion(G, d.tower_step)
-        outer_group = GroupDescriptor(0, 1)
-        outer = (
-            symmetric(outer_group, window)
-            if d.outer == SYMMETRIC
-            else discrete(outer_group, window)
-        )
-        return wedge(WedgeSpec(middle, Subgroup.torsion(G), inner, outer), window)
+        inner = d.inner
+        if isinstance(inner, FamilyDescriptor):
+            # a step below 2 leaves no room for a nested ring; standard_wedge refuses it
+            inner = resynthesize(inner, window // max(d.tower_step, 1))
+        return standard_wedge(G, d.tower_step, inner, d.outer, window)
     raise ValueError(f"unknown variant {d.variant!r}")

@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import (
@@ -31,11 +30,10 @@ from .classify import (
 )
 from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
 from .enumeration import DEFAULT_FINITE_BOUND, enumerate_finite, enumerate_windowed, is_traditional
-from .errors import BoundExceeded, SchurError, Unclassifiable, WindowTooSmall
+from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
 from .groups import DEFAULT_ORBIT_BOUND, GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
     SchurPresentation,
-    check_partition,
     class_shape_holds,
     frobenius_closure_holds,
     multiplier_sets_hold,
@@ -69,13 +67,6 @@ _DEFAULTS = {
 }
 
 
-@dataclass
-class Settings:
-    window: int
-    finite_bound: int
-    orbit_bound: int
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -90,15 +81,17 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve_settings(args: argparse.Namespace) -> Settings:
-    """flag > environment > config file > default."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        fallback = os.environ.get(f"SRING_{key.upper()}", file_values.get(key, default))
-        resolved[key] = int(flag if flag is not None else fallback)
-    return Settings(**resolved)
+def resolve_setting(args: argparse.Namespace, key: str) -> int:
+    """One setting a command reads: flag > environment > config file > default."""
+    file_values = _load_config_file(args.config) if args.config else {}
+    flag = getattr(args, key, None)
+    if flag is not None:
+        return flag
+    value = os.environ.get(f"SRING_{key.upper()}", file_values.get(key, _DEFAULTS[key]))
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"setting {key} must be an integer, got {value!r}") from None
 
 
 _GROUP_RE = re.compile(r"^Z(?:(\d+))?(?:xZ(\d+))?$", re.IGNORECASE)
@@ -159,9 +152,8 @@ def _require_size(count: int) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+    window = resolve_setting(args, "window")
     params = json_value(_load_json(args.params or "{}"), dict, "--params")
-    window = settings.window
     group = parse_group(json_field(params, "group", str, "ZxZ3"))
     if args.kind != "tensor":
         _require_size(
@@ -173,7 +165,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         P = trivial(group)
     elif args.kind == "orbit":
         gens = [automorphism_from_json(g, group) for g in json_field(params, "gens", list, [])]
-        P = orbit_ring(group, gens, window, bound=settings.orbit_bound)
+        P = orbit_ring(group, gens, window, bound=resolve_setting(args, "orbit_bound"))
     elif args.kind == "tensor":
         left = SchurPresentation.from_json(json_field(params, "left", dict))
         right = SchurPresentation.from_json(json_field(params, "right", dict))
@@ -193,10 +185,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     P = _read_presentation(args.presentation)
-    check_partition(P)
     try:
         descriptor = classify(P)
-    except WindowTooSmall:
+    except (MalformedPartition, WindowTooSmall):
         raise
     except (SchurError, ValueError) as ex:  # a partition that fits no family
         raise Unclassifiable(str(ex)) from ex
@@ -209,7 +200,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
     if args.windowed is not None:
         if args.finite_bound is not None:
             raise ValueError("--finite-bound applies only with --group")
@@ -220,7 +210,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.projection is not None:
             raise ValueError("--projection applies only with --windowed")
         group = parse_group(args.group)
-        presentations = enumerate_finite(group, bound=settings.finite_bound)
+        presentations = enumerate_finite(group, bound=resolve_setting(args, "finite_bound"))
         label = args.group
         histogram = {}
         for P in presentations:

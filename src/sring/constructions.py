@@ -250,51 +250,48 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
     )
 
 
+# The presentations a standard wedge builds by name.  Over <a> (step 0) the
+# inner ring is discrete or trivial; over <z^step> x <a> it is discrete or
+# symmetric, like the outer ring over the free quotient.
+_KINDS = {
+    "discrete": discrete,
+    "symmetric": symmetric,
+    "trivial": lambda group, window: trivial(group),
+}
+_FREE_KINDS = ("discrete", "symmetric")
+
+
 def standard_wedge(
     group: GroupDescriptor,
     step: int,
-    inner_kind: str,
+    inner: str | SchurPresentation,
     outer_kind: str,
     window: int,
 ) -> SchurPresentation:
     """Wedge over the torsion kernel with middle subgroup <z^step> x <a>.
 
     step == 0 keeps the middle subgroup equal to the torsion factor, where
-    ``inner_kind`` may be "discrete" or "trivial"; for step >= 2 the inner
+    ``inner`` may be "discrete" or "trivial"; for step >= 2 the inner
     presentation over <z^step> x <a> may be "discrete" or "symmetric".  The
     outer presentation over the free quotient is "discrete" or "symmetric".
+    ``inner`` may also be a presentation over ``H.as_group()`` of the middle
+    subgroup H, whose window must reach window // step.
     """
     if not group.is_infinite:
         raise InfiniteGroup("standard wedges are built over the infinite group")
     if step < 0:
         raise BadTower(f"step must be 0 or at least 2, got {step}")
+    if step == 1:
+        raise BadTower("step 1 makes the middle subgroup the whole group")
     K = Subgroup.torsion(group)
-    if step == 0:
-        H = K
-        h_desc, _ = H.as_group()
-        if inner_kind == "discrete":
-            inner = discrete(h_desc)
-        elif inner_kind == "trivial":
-            inner = trivial(h_desc)
-        else:
-            raise ValueError(f"inner kind {inner_kind!r} needs step >= 2")
-    else:
-        if step == 1:
-            raise BadTower("step 1 makes the middle subgroup the whole group")
-        H = Subgroup.free_power_with_torsion(group, step)
-        h_desc, _ = H.as_group()
-        inner_window = window // step
-        if inner_kind == "discrete":
-            inner = discrete(h_desc, inner_window)
-        elif inner_kind == "symmetric":
-            inner = symmetric(h_desc, inner_window)
-        else:
-            raise ValueError(f"unknown inner kind {inner_kind!r}")
-    qdesc = QuotientMap(group, K).descriptor
-    if outer_kind == "discrete":
-        outer = discrete(qdesc, window)
-    elif outer_kind == "symmetric":
-        outer = symmetric(qdesc, window)
-    else:
+    H = Subgroup.free_power_with_torsion(group, step) if step else K
+    if isinstance(inner, str):
+        if step == 0 and inner not in ("discrete", "trivial"):
+            raise ValueError(f"inner kind {inner!r} needs step >= 2")
+        if step and inner not in _FREE_KINDS:
+            raise ValueError(f"unknown inner kind {inner!r}")
+        inner = _KINDS[inner](H.as_group()[0], window // step if step else 0)
+    if outer_kind not in _FREE_KINDS:
         raise ValueError(f"unknown outer kind {outer_kind!r}")
+    outer = _KINDS[outer_kind](QuotientMap(group, K).descriptor, window)
     return wedge(WedgeSpec(H, K, inner, outer), window)

@@ -28,6 +28,7 @@ from .schur import (
     class_stabilizer,
     quotient,
     restrict,
+    shadow,
     split_class,
     star,
     verify_axioms,
@@ -244,7 +245,7 @@ def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[f
     out = [
         tuple(parts)
         for parts in _set_partitions(slab)
-        if all({g.z_exp for g in c} in shadows for c in parts)
+        if all(shadow(c) in shadows for c in parts)
         and {star(c, group) for c in parts} == set(parts)
     ]
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))

@@ -248,6 +248,11 @@ def reach(c: Iterable[GroupElement]) -> int:
     return max(abs(g.z_exp) for g in c)
 
 
+def shadow(c: Iterable[GroupElement]) -> frozenset[int]:
+    """The z-exponents of a class: its image modulo the torsion subgroup."""
+    return frozenset(g.z_exp for g in c)
+
+
 def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
     """True when elems is exactly a union of classes; lookup maps element -> class."""
     remaining = set(elems)
@@ -621,13 +626,8 @@ def class_shape_holds(P: SchurPresentation) -> tuple[bool, str]:
     G = P.group
     p = G.torsion_order
     for c in P.classes:
-        if len(c) != p:
-            continue
-        z_exps = {g.z_exp for g in c}
-        a_exps = {g.a_exp for g in c}
-        if len(z_exps) == 1 and len(a_exps) == p:
-            continue
-        return False, f"class {_fmt_class(c)} has size {p} but is not a torsion coset"
+        if len(c) == p and len(shadow(c)) != 1:
+            return False, f"class {_fmt_class(c)} has size {p} but is not a torsion coset"
     return True, "class shapes satisfy the coset-or-size dichotomy"
 
 

@@ -8,10 +8,12 @@ anywhere.
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from sring import (
+    FamilyDescriptor,
     GroupDescriptor,
     MalformedPartition,
     RingElement,
@@ -24,6 +26,7 @@ from sring import (
     is_traditional,
     named_automorphism,
     orbit_ring,
+    projection_type,
     resynthesize,
     simple_quantity,
     standard_wedge,
@@ -215,13 +218,47 @@ class TestCriterion3MainTheoremRoundTrip:
         assert ok, failures
 
 
+@lru_cache(maxsize=None)
+def _windowed(window: int) -> tuple:
+    return tuple(enumerate_windowed(window))
+
+
+# The Schur rings over Z x Z_3 whose class of z is not a union of torsion
+# cosets: the full ring, its symmetric alias, and the orbit rings.
+LEVEL_ONE = (
+    FamilyDescriptor("full"),
+    FamilyDescriptor("full", symmetric=True),
+    *(FamilyDescriptor("orbit", generators=tuple(AUTOS[name] for name in names))
+      for names in (("tau",), ("delta",), ("psi",), ("zeta",), ("sigma",), ("rho",),
+                    ("delta", "xi"), ("psi", "xi"), ("xi", "zeta"))),
+)
+
+
 class TestCriterion4DeskScaleExhaustiveness:
+    @pytest.mark.parametrize("window", range(1, MAX_WINDOW + 1))
+    def test_closed_form(self, window):
+        # every ring is one of the 11 level-one rings, one of the 4 wedges over
+        # the torsion subgroup, or a wedge with middle subgroup <z^s> x <a>
+        # (s = 2..window) around a level-one ring: 11 + 4 + 11 (window - 1)
+        torsion_wedges = [FamilyDescriptor("wedge", tower_step=0, inner=inner, outer=outer)
+                          for inner in ("discrete", "trivial")
+                          for outer in ("discrete", "symmetric")]
+        tower_wedges = [
+            FamilyDescriptor("wedge", tower_step=step, inner=d,
+                             outer=projection_type(resynthesize(d, 1)))
+            for d in LEVEL_ONE for step in range(2, window + 1)
+        ]
+        expected = [resynthesize(d, window).classes
+                    for d in (*LEVEL_ONE, *torsion_wedges, *tower_wedges)]
+        assert len(set(expected)) == len(expected) == 11 * window + 4
+        assert {P.classes for P in _windowed(window)} == set(expected)
+
     @pytest.mark.parametrize("window", range(3, MAX_WINDOW + 1))
     def test_every_window_classifies(self, window):
         # the search uses the axioms alone, so the lemma checks here are a
         # test of the paper's lemmas on every ring it finds
         start = time.time()
-        presentations = enumerate_windowed(window)
+        presentations = _windowed(window)
         failures = []
         for P in presentations:
             try:

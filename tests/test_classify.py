@@ -3,6 +3,9 @@ import pytest
 from sring import (
     FamilyDescriptor,
     GroupDescriptor,
+    GroupElement,
+    MalformedPartition,
+    SchurError,
     Subgroup,
     Unclassifiable,
     UnrecognizedQuotient,
@@ -22,6 +25,8 @@ from sring import (
     wedge,
     SchurPresentation,
 )
+from sring.enumeration import enumerate_windowed
+from sring.schur import quotient, torsion_is_ssubgroup
 
 
 class TestFindH:
@@ -64,6 +69,77 @@ class TestProjectionType:
         P = SchurPresentation(G, classes, window=6)
         with pytest.raises(UnrecognizedQuotient):
             projection_type(P)
+
+
+def _quotient_projection_type(P: SchurPresentation) -> str:
+    """The projection read off the quotient presentation modulo torsion: the
+    reference that projection_type, which reads class shadows, must match."""
+    if not torsion_is_ssubgroup(P):
+        raise UnrecognizedQuotient("the torsion subgroup is not an S-subgroup")
+    q = quotient(P, Subgroup.torsion(P.group))
+    classes = set(q.classes)
+    n = q.window
+    if all(frozenset({GroupElement(k, 0)}) in classes for k in range(-n, n + 1)):
+        if len(classes) == 2 * n + 1:
+            return "discrete"
+    sym = {frozenset({GroupElement(0, 0)})}
+    sym |= {frozenset({GroupElement(k, 0), GroupElement(-k, 0)}) for k in range(1, n + 1)}
+    if classes == sym:
+        return "symmetric"
+    raise UnrecognizedQuotient("quotient modulo torsion is neither discrete nor symmetric")
+
+
+def _projection_outcome(function, P):
+    try:
+        return function(P)
+    except Exception as ex:  # noqa: BLE001 - the exception type is the outcome
+        return type(ex)
+
+
+def _discrete_classes(window, skip=()):
+    return [[(k, i)] for k in range(-window, window + 1) for i in range(3) if (k, i) not in skip]
+
+
+def _projection_corpus():
+    G = GroupDescriptor(0, 3)
+    for window in range(1, 7):
+        for P in enumerate_windowed(window):
+            yield f"windowed-{window}-{P.describe()}", P
+    for window in (6, 12):
+        for step in (0, 2, 3, 4, 5, 6):
+            inners = ("discrete", "trivial") if step == 0 else ("discrete", "symmetric")
+            for inner in inners:
+                for outer in ("discrete", "symmetric"):
+                    if step and inner != outer:
+                        continue  # these inner and outer rings disagree on H/K
+                    yield (f"wedge-{window}-{step}-{inner}-{outer}",
+                           standard_wedge(G, step, inner, outer, window))
+    # a class {a, z} that splits the torsion subgroup
+    split = [[(0, 0)], [(0, 1), (1, 0)], [(0, 2), (-1, 0)]]
+    split += [[(k, i)] for k in (-1, 1) for i in (1, 2)]
+    yield "torsion-split", SchurPresentation(G, split, window=1)
+    # one {k, -k} class inside an otherwise discrete ring
+    mixed = _discrete_classes(3, skip={(2, 0), (-2, 0)}) + [[(2, 0), (-2, 0)]]
+    yield "one-symmetric-class", SchurPresentation(G, mixed, window=3)
+    # level 2 is not covered
+    gap = _discrete_classes(3, skip={(k, i) for k in (2, -2) for i in range(3)})
+    yield "uncovered-level", SchurPresentation(G, gap, window=3)
+    # a discrete ring whose window claims one level more than it covers
+    yield "short-window", SchurPresentation(G, _discrete_classes(3), window=4)
+
+
+class TestProjectionReference:
+    CORPUS = list(_projection_corpus())
+
+    def test_corpus_reaches_every_outcome(self):
+        outcomes = {_projection_outcome(projection_type, P) for _, P in self.CORPUS}
+        assert outcomes == {"discrete", "symmetric", UnrecognizedQuotient}
+
+    @pytest.mark.parametrize("name,P", CORPUS, ids=[name for name, _ in CORPUS])
+    def test_matches_the_quotient(self, name, P):
+        assert _projection_outcome(projection_type, P) == _projection_outcome(
+            _quotient_projection_type, P
+        )
 
 
 class TestClassifyNamedFamilies:
@@ -203,6 +279,35 @@ class TestGuards:
     def test_wrong_group_rejected(self, Z3):
         with pytest.raises(ValueError):
             classify(discrete(Z3))
+
+    def test_missing_level_is_malformed(self, G):
+        classes = [c for c in discrete(G, 12).classes if GroupElement(2, 0) not in c]
+        with pytest.raises(MalformedPartition, match="not covered"):
+            classify(SchurPresentation(G, classes, window=12))
+
+    def test_overlap_is_malformed(self, G):
+        classes = list(discrete(G, 12).classes) + [[(1, 0), (-1, 0)]]
+        with pytest.raises(MalformedPartition, match="overlap"):
+            classify(SchurPresentation(G, classes, window=12))
+
+
+class TestResynthesizeDescriptors:
+    def test_kind_inner_at_a_free_step(self, G):
+        # a hand-written descriptor may name the inner ring by kind
+        d = FamilyDescriptor.from_json(
+            {"variant": "wedge", "tower": {"K": 0, "H": 2}, "inner": "discrete",
+             "outer": "discrete"}
+        )
+        assert resynthesize(d, 12) == standard_wedge(G, 2, "discrete", "discrete", 12)
+
+    @pytest.mark.parametrize("step", [-2, 0, 1])
+    def test_nested_inner_below_step_two_is_refused(self, step):
+        # a ring over Z x Z_3 fits no middle subgroup of step 0, and steps
+        # 1 and -2 are no towers
+        d = FamilyDescriptor("wedge", tower_step=step, inner=FamilyDescriptor("full"),
+                             outer="discrete")
+        with pytest.raises(SchurError):
+            resynthesize(d, 12)
 
 
 class TestDescriptorJson:

@@ -328,6 +328,37 @@ class TestConfigPrecedence:
         _, out, _ = invoke(capsys, "construct", "--kind", "discrete")
         assert json.loads(out)["window"] == 12
 
+    @pytest.mark.parametrize(
+        "argv,variable",
+        [
+            (["enumerate", "--windowed", "1"], "SRING_WINDOW"),
+            (["construct", "--kind", "discrete", "--window", "1"], "SRING_FINITE_BOUND"),
+            (["enumerate", "--group", "Z3"], "SRING_ORBIT_BOUND"),
+        ],
+        ids=["window-with-windowed", "finite-bound-with-construct", "orbit-bound-with-enumerate"],
+    )
+    def test_a_setting_the_command_does_not_read_is_not_parsed(
+        self, capsys, monkeypatch, argv, variable
+    ):
+        monkeypatch.setenv(variable, "abc")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize(
+        "argv,variable,setting",
+        [
+            (["construct", "--kind", "discrete"], "SRING_WINDOW", "window"),
+            (["enumerate", "--group", "Z3"], "SRING_FINITE_BOUND", "finite_bound"),
+            (["construct", "--kind", "orbit", "--params", '{"gens":["psi"]}'],
+             "SRING_ORBIT_BOUND", "orbit_bound"),
+        ],
+        ids=["window", "finite-bound", "orbit-bound"],
+    )
+    def test_a_bad_setting_is_named(self, capsys, monkeypatch, argv, variable, setting):
+        monkeypatch.setenv(variable, "abc")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2 and out == f"malformed: setting {setting} must be an integer, got 'abc'\n"
+
 
 class TestInputBoundary:
     """Malformed input exits 2 with one error line, never with a traceback."""

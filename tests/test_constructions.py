@@ -190,6 +190,31 @@ class TestWedge:
         with pytest.raises(BadTower):
             wedge(WedgeSpec(K, Subgroup.trivial(G), inner, outer), 6)
 
+    @pytest.mark.parametrize(
+        "step,inner,outer,message",
+        [
+            (0, "symmetric", "discrete", "inner kind 'symmetric' needs step >= 2"),
+            (0, "foo", "discrete", "inner kind 'foo' needs step >= 2"),
+            (2, "trivial", "discrete", "unknown inner kind 'trivial'"),
+            (3, "foo", "discrete", "unknown inner kind 'foo'"),
+            (0, "discrete", "trivial", "unknown outer kind 'trivial'"),
+            (2, "discrete", "foo", "unknown outer kind 'foo'"),
+        ],
+    )
+    def test_unknown_kinds(self, G, step, inner, outer, message):
+        with pytest.raises(ValueError) as info:
+            standard_wedge(G, step, inner, outer, 6)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("step,kind,outer", [(0, "trivial", "discrete"),
+                                                 (2, "symmetric", "symmetric"),
+                                                 (3, "discrete", "discrete")])
+    def test_presentation_inner_matches_the_kind(self, G, step, kind, outer):
+        # the inner ring may be handed over built, over H.as_group()
+        P = standard_wedge(G, step, kind, outer, 6)
+        H = Subgroup.free_power_with_torsion(G, step) if step else Subgroup.torsion(G)
+        assert standard_wedge(G, step, restrict(P, H), outer, 6) == P
+
     def test_infinite_kernel_rejected(self, G):
         H = Subgroup.free_power_with_torsion(G, 2)
         h_desc, _ = H.as_group()
