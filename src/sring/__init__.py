@@ -42,7 +42,6 @@ from .errors import (
     NotInSpan,
     NotSSet,
     NotSSubgroup,
-    OrbitUnbounded,
     SchurError,
     Unclassifiable,
     UnrecognizedQuotient,

@@ -31,7 +31,7 @@ from .classify import (
 from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
 from .enumeration import DEFAULT_FINITE_BOUND, enumerate_finite, enumerate_windowed, is_traditional
 from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
-from .groups import DEFAULT_ORBIT_BOUND, GroupDescriptor, automorphism_from_json, json_field, json_value
+from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
     SchurPresentation,
     class_shape_holds,
@@ -63,7 +63,6 @@ MAX_CONSTRUCT_ELEMENTS = 10**6
 _DEFAULTS = {
     "window": RECOMMENDED_WINDOW,
     "finite_bound": DEFAULT_FINITE_BOUND,
-    "orbit_bound": DEFAULT_ORBIT_BOUND,
 }
 
 
@@ -165,7 +164,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         P = trivial(group)
     elif args.kind == "orbit":
         gens = [automorphism_from_json(g, group) for g in json_field(params, "gens", list, [])]
-        P = orbit_ring(group, gens, window, bound=resolve_setting(args, "orbit_bound"))
+        P = orbit_ring(group, gens, window)
     elif args.kind == "tensor":
         left = SchurPresentation.from_json(json_field(params, "left", dict))
         right = SchurPresentation.from_json(json_field(params, "right", dict))
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument("--params", default="{}", help="construction parameters as JSON")
     p_construct.add_argument("--window", type=int, default=None)
-    p_construct.add_argument("--orbit-bound", dest="orbit_bound", type=int, default=None)
     p_construct.set_defaults(func=_cmd_construct)
 
     p_classify = sub.add_parser("classify", help="identify the family of a presentation")

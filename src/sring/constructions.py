@@ -19,7 +19,6 @@ from .errors import (
     WindowTooSmall,
 )
 from .groups import (
-    DEFAULT_ORBIT_BOUND,
     Automorphism,
     GroupDescriptor,
     GroupElement,
@@ -61,11 +60,12 @@ def orbit_ring(
     group: GroupDescriptor,
     gens: Iterable[Automorphism],
     window: int = 0,
-    bound: int = DEFAULT_ORBIT_BOUND,
 ) -> SchurPresentation:
     """Classes are the orbits of the group generated by ``gens``.
 
-    With no generators this is the discrete presentation.
+    With no generators this is the discrete presentation.  Each window element
+    is closed over once, and its orbit stays in its own levels +-k, so every
+    orbit of a window element fits in the window.
     """
     gens = list(gens)
     for phi in gens:
@@ -77,7 +77,7 @@ def orbit_ring(
     for g in group.window_elements(window):
         if g in seen:
             continue
-        orb = orbit(gens, g, bound=bound)
+        orb = orbit(gens, g)
         seen |= orb
         classes.append(orb)
     names = ",".join(sorted(phi.name() or str(phi) for phi in gens)) if gens else ""
@@ -275,7 +275,9 @@ def standard_wedge(
     presentation over <z^step> x <a> may be "discrete" or "symmetric".  The
     outer presentation over the free quotient is "discrete" or "symmetric".
     ``inner`` may also be a presentation over ``H.as_group()`` of the middle
-    subgroup H, whose window must reach window // step.
+    subgroup H, whose window must reach window // step.  An inner kind at a
+    step above the window raises WindowTooSmall, as its ring would have
+    window 0.
     """
     if not group.is_infinite:
         raise InfiniteGroup("standard wedges are built over the infinite group")
@@ -290,6 +292,8 @@ def standard_wedge(
             raise ValueError(f"inner kind {inner!r} needs step >= 2")
         if step and inner not in _FREE_KINDS:
             raise ValueError(f"unknown inner kind {inner!r}")
+        if step > window:
+            raise WindowTooSmall(f"step {step} needs a window of at least {step}, got {window}")
         inner = _KINDS[inner](H.as_group()[0], window // step if step else 0)
     if outer_kind not in _FREE_KINDS:
         raise ValueError(f"unknown outer kind {outer_kind!r}")

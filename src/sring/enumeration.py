@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
-from .constructions import orbit_ring
 from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     Automorphism,
@@ -162,7 +161,9 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
     P is an orbit ring exactly when it is the orbit partition of its own
     class stabilizer S (the automorphisms fixing every class setwise): any
     group A whose orbits are the classes lies in S, so every class lies in an
-    S-orbit, and every S-orbit lies in a class.  An orbit result carries the
+    S-orbit, and every S-orbit lies in a class.  As S is a group, the S-orbit
+    of g is {phi(g) : phi in S}, so it suffices that one element of each class
+    has an S-orbit as large as its class.  An orbit result carries the
     canonical generators of S.  S is taken in the parametric automorphism
     family, which is all of Aut(G) whenever the two factor orders are coprime.
 
@@ -179,7 +180,7 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
         return TraditionalityResult("trivial")
 
     S = class_stabilizer(P)
-    if orbit_ring(G, S, bound=G.order).classes == P.classes:
+    if all(len({phi.apply(next(iter(c))) for phi in S}) == len(c) for c in P.classes):
         return TraditionalityResult("orbit", generators=canonical_generators(S))
 
     proper = [

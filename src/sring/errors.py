@@ -5,10 +5,6 @@ class SchurError(Exception):
     """Base class for all library errors."""
 
 
-class OrbitUnbounded(SchurError):
-    """Orbit closure exceeded the configured bound."""
-
-
 class InvalidAutomorphism(SchurError):
     """Mapping does not extend to a bijective homomorphism."""
 

@@ -13,9 +13,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InfiniteGroup, InvalidAutomorphism, OrbitUnbounded
-
-DEFAULT_ORBIT_BOUND = 64
+from .errors import InfiniteGroup, InvalidAutomorphism
 
 
 class GroupElement(NamedTuple):
@@ -196,15 +194,7 @@ def parse_element(text: str, group: GroupDescriptor | None = None) -> GroupEleme
 
 
 def _units(n: int) -> list[int]:
-    if n == 1:
-        return [0]
     return [u for u in range(n) if gcd(u, n) == 1]
-
-
-def _modinv(u: int, n: int) -> int:
-    if n == 1:
-        return 0
-    return pow(u, -1, n)
 
 
 @dataclass(frozen=True)
@@ -265,26 +255,22 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         G = self.group
         n, m = G.free_order, G.torsion_order
-        e_inv = self.unit if n == 0 else _modinv(self.unit, n)
-        u_inv = _modinv(self.torsion_unit, m)
+        e_inv = self.unit if n == 0 else pow(self.unit, -1, n)
+        u_inv = pow(self.torsion_unit, -1, m)
         j_inv = (-self.twist * e_inv * u_inv) % m
         return Automorphism(G, j_inv, e_inv, u_inv)
 
     def is_identity(self) -> bool:
-        n, m = self.group.free_order, self.group.torsion_order
-        unit_one = self.unit == 1 or (n == 1 and self.unit % n == 0)
-        return self.twist % m == 0 and unit_one and self.torsion_unit % m == 1 % m
+        return self == Automorphism.identity(self.group)
 
     @classmethod
     def identity(cls, group: GroupDescriptor) -> "Automorphism":
-        return cls(group, 0, 1 if group.free_order != 1 else 0, 1)
+        return cls(group, 0, 1, 1)
 
     @classmethod
     def inversion(cls, group: GroupDescriptor) -> "Automorphism":
         """The map g -> g^-1."""
-        n = group.free_order
-        e = -1 if n == 0 else (n - 1) % n
-        return cls(group, 0, e, group.torsion_order - 1)
+        return cls(group, 0, -1, -1)
 
     def name(self) -> str | None:
         """Canonical alias for one of the named maps, if any.
@@ -378,10 +364,11 @@ def all_automorphisms(group: GroupDescriptor) -> list[Automorphism]:
     return sorted(result, key=automorphism_sort_key)
 
 
-def _closure(start, step, gens: list, bound: int, what: str) -> frozenset:
+def _closure(start, step, gens: list) -> frozenset:
     """Everything reached from ``start`` by repeated ``step(gen, x)``, breadth first.
 
-    Raises OrbitUnbounded once more than ``bound`` items have been reached.
+    Callers close only over finite sets: a group of automorphisms, or an orbit,
+    which never leaves the level z^(+-k) it starts in.
     """
     seen = {start}
     frontier = [start]
@@ -393,21 +380,21 @@ def _closure(start, step, gens: list, bound: int, what: str) -> frozenset:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > bound:
-                        raise OrbitUnbounded(f"{what} exceeded bound {bound}")
         frontier = nxt
     return frozenset(seen)
 
 
-def close_automorphisms(
-    gens: Iterable[Automorphism], bound: int = 4096
-) -> frozenset[Automorphism]:
-    """Closure of a generating set under composition (always finite here)."""
+def close_automorphisms(gens: Iterable[Automorphism]) -> frozenset[Automorphism]:
+    """Closure of a generating set under composition.
+
+    Always finite: the family has 2*m*phi(m) maps over Z x Z_m and at most
+    |G|*phi(m) over a finite group.
+    """
     gens = list(gens)
     if not gens:
         return frozenset()
     identity = Automorphism.identity(gens[0].group)
-    return _closure(identity, Automorphism.compose, gens, bound, "automorphism closure")
+    return _closure(identity, Automorphism.compose, gens)
 
 
 def canonical_generators(members: Iterable[Automorphism]) -> tuple[Automorphism, ...]:
@@ -427,18 +414,15 @@ def canonical_generators(members: Iterable[Automorphism]) -> tuple[Automorphism,
     return ()
 
 
-def orbit(
-    gens: Iterable[Automorphism],
-    g: GroupElement,
-    bound: int = DEFAULT_ORBIT_BOUND,
-) -> frozenset[GroupElement]:
+def orbit(gens: Iterable[Automorphism], g: GroupElement) -> frozenset[GroupElement]:
     """The orbit of g under the group generated by gens.
 
-    Raises OrbitUnbounded if the orbit closure exceeds the bound.  Every
-    generator here has finite order, so closing under the generators alone
-    already yields the group orbit.
+    Every automorphism sends z^k a^i to some z^(+-k) a^i', so the orbit lies in
+    the levels +-k of g and has at most 2m elements (at most |G| for a finite
+    group).  Every generator has finite order, so closing under the generators
+    alone already yields the group orbit.
     """
-    return _closure(g, Automorphism.apply, list(gens), bound, f"orbit of {format_element(g)}")
+    return _closure(g, Automorphism.apply, list(gens))
 
 
 # -- subgroups ----------------------------------------------------------------

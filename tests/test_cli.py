@@ -349,10 +349,8 @@ class TestConfigPrecedence:
         [
             (["construct", "--kind", "discrete"], "SRING_WINDOW", "window"),
             (["enumerate", "--group", "Z3"], "SRING_FINITE_BOUND", "finite_bound"),
-            (["construct", "--kind", "orbit", "--params", '{"gens":["psi"]}'],
-             "SRING_ORBIT_BOUND", "orbit_bound"),
         ],
-        ids=["window", "finite-bound", "orbit-bound"],
+        ids=["window", "finite-bound"],
     )
     def test_a_bad_setting_is_named(self, capsys, monkeypatch, argv, variable, setting):
         monkeypatch.setenv(variable, "abc")
@@ -389,6 +387,11 @@ class TestInputBoundary:
         assert code == 2 and out == "" and "unrecognized arguments" in err
         assert "Traceback" not in err
 
+    def test_orbit_bound_flag_is_gone(self, capsys):
+        code, out, err = outcome(capsys, ["construct", "--orbit-bound", "5", "--kind", "orbit"])
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+        assert "Traceback" not in err
+
     def test_classify_checks_the_partition(self, capsys, paths):
         code, out, _ = outcome(capsys, paths(["--json", "classify", "@out_of_window"]))
         assert code == 2 and "outside window" in json.loads(out)["error"]
@@ -403,6 +406,22 @@ class TestInputBoundary:
     def test_construct_window_too_small_exits_three(self, capsys):
         code, out, _ = invoke(capsys, "--json", "construct", "--kind", "discrete", "--window", "0")
         assert code == 3 and "window" in json.loads(out)["error"]
+
+    def test_construct_wedge_step_above_the_window_exits_three(self, capsys):
+        code, out, _ = invoke(
+            capsys, "construct", "--kind", "wedge", "--params", '{"step":13}', "--window", "12"
+        )
+        assert (code, out) == (3, "window too small: step 13 needs a window of at least 13, got 12\n")
+
+    def test_construct_long_orbits(self, capsys, tmp_path):
+        # z -> az over Z x Z_100: the orbit of z has 100 elements, and no bound applies
+        params = '{"group":"ZxZ100","gens":[{"z":[1,1],"a":1}]}'
+        code, out, _ = invoke(capsys, "construct", "--kind", "orbit", "--params", params, "--window", "1")
+        assert code == 0 and json.loads(out)["window"] == 1
+        path = tmp_path / "long.json"
+        path.write_text(out)
+        code, out, _ = invoke(capsys, "verify", str(path))
+        assert code == 0 and "valid-up-to-window" in out
 
     @pytest.mark.parametrize("kind", ["discrete", "orbit", "wedge"])
     def test_construct_size_cap_on_the_window(self, capsys, monkeypatch, kind):

@@ -115,7 +115,6 @@ def invocations(draw):
         argv += ["construct", "--kind", draw(st.sampled_from(KINDS))]
         argv += option("--params", as_text(params))
         argv += option("--window", st.integers(-1, 6))
-        argv += option("--orbit-bound", st.integers(0, 64))
     elif command == "enumerate":
         if draw(st.booleans()):
             argv += ["enumerate", "--group", draw(st.sampled_from(GROUPS))]

@@ -1,6 +1,7 @@
 import pytest
 
 from sring import (
+    Automorphism,
     BadTower,
     GroupDescriptor,
     IncompatibleWedge,
@@ -93,6 +94,13 @@ class TestOrbitRing:
             P = orbit_ring(G, [phi], 6)
             assert verify_axioms(P).ok, name
             assert verify_wielandt(P).ok, name
+
+    def test_long_orbits(self):
+        # z -> az over Z x Z_100 has orbits of 100 elements on the odd levels
+        G = GroupDescriptor(0, 100)
+        P = orbit_ring(G, [Automorphism(G, 1, 1, 1)], 2)
+        assert G.coset_of_torsion(1) in P.classes
+        assert verify_axioms(P).ok
 
 
 class TestTensor:
@@ -205,6 +213,16 @@ class TestWedge:
         with pytest.raises(ValueError) as info:
             standard_wedge(G, step, inner, outer, 6)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("step,window", [(13, 12), (2, 1)])
+    def test_step_above_the_window(self, G, step, window):
+        with pytest.raises(WindowTooSmall) as info:
+            standard_wedge(G, step, "discrete", "discrete", window)
+        assert str(info.value) == f"step {step} needs a window of at least {step}, got {window}"
+
+    def test_step_equal_to_the_window(self, G):
+        P = standard_wedge(G, 12, "discrete", "discrete", 12)
+        assert P.window == 12 and verify_axioms(P).ok
 
     @pytest.mark.parametrize("step,kind,outer", [(0, "trivial", "discrete"),
                                                  (2, "symmetric", "symmetric"),

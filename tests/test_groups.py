@@ -6,7 +6,6 @@ from sring import (
     GroupDescriptor,
     GroupElement,
     InvalidAutomorphism,
-    OrbitUnbounded,
     QuotientMap,
     Subgroup,
     all_automorphisms,
@@ -99,7 +98,18 @@ class TestAutomorphisms:
         assert autos["delta"].compose(autos["xi"]) == autos["rho"]
         assert autos["zeta"].compose(autos["tau"]) == autos["xi"]
 
+    @pytest.mark.parametrize(
+        "G",
+        [GroupDescriptor(0, 3), GroupDescriptor(0, 1), GroupDescriptor(1, 5),
+         GroupDescriptor(5, 1), GroupDescriptor(4, 6)],
+        ids=["ZxZ3", "ZxZ1", "Z1xZ5", "Z5xZ1", "Z4xZ6"],
+    )
     def test_inverse_composes_to_identity(self, G):
+        # factors of order 1 included: there every exponent reduces to 0
+        identity, inversion = Automorphism.identity(G), Automorphism.inversion(G)
+        assert identity.is_identity() and inversion.compose(inversion) == identity
+        for g in G.window_elements(2):
+            assert identity.apply(g) == g and inversion.apply(g) == G.inverse(g)
         for phi in all_automorphisms(G):
             assert phi.compose(phi.inverse()).is_identity()
             assert phi.inverse().compose(phi).is_identity()
@@ -178,9 +188,17 @@ class TestOrbits:
         for phi in gens:
             assert phi.apply_set(orb) == orb
 
-    def test_orbit_bound(self, G, autos):
-        with pytest.raises(OrbitUnbounded):
-            orbit([autos["psi"], autos["xi"]], G.element(1, 0), bound=1)
+    def test_a_long_orbit_is_a_whole_coset(self):
+        # z -> az over Z x Z_100: the orbit of z is the coset z<a>
+        G = GroupDescriptor(0, 100)
+        assert orbit([Automorphism(G, 1, 1, 1)], G.element(1, 0)) == G.coset_of_torsion(1)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_an_orbit_stays_in_its_levels(self, m):
+        G = GroupDescriptor(0, m)
+        for phi in all_automorphisms(G):
+            for g in G.window_elements(3):
+                assert {abs(h.z_exp) for h in orbit([phi], g)} == {abs(g.z_exp)}
 
 
 def _coordinate_cases() -> list:
