@@ -12,7 +12,6 @@ reproduce the input class-for-class on its window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd
 
 from .constructions import discrete, orbit_ring, standard_wedge, symmetric
@@ -21,7 +20,9 @@ from .groups import (
     Automorphism,
     GroupDescriptor,
     GroupElement,
+    Record,
     Subgroup,
+    _setattr,
     automorphism_from_json,
     canonical_generators,
     json_field,
@@ -46,11 +47,9 @@ SYMMETRIC = "symmetric"
 TRIVIAL = "trivial"
 
 MIN_CLASSIFY_WINDOW = 3
-RECOMMENDED_WINDOW = 12
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(Record):
     """Which family a presentation belongs to, with enough data to rebuild it.
 
     variant "full" is the whole group ring (symmetric flag distinguishes the
@@ -62,13 +61,27 @@ class FamilyDescriptor:
     and the outer kind over the free quotient.
     """
 
-    variant: str
-    symmetric: bool = False
-    generators: tuple[Automorphism, ...] = ()
-    tower_step: int = 0
-    inner: "FamilyDescriptor | str | None" = None
-    outer: str | None = None
-    confidence_window: int = 0
+    __slots__ = (
+        "variant", "symmetric", "generators", "tower_step", "inner", "outer", "confidence_window"
+    )
+
+    def __init__(
+        self,
+        variant: str,
+        symmetric: bool = False,
+        generators: tuple[Automorphism, ...] = (),
+        tower_step: int = 0,
+        inner: FamilyDescriptor | str | None = None,
+        outer: str | None = None,
+        confidence_window: int = 0,
+    ) -> None:
+        _setattr(self, "variant", variant)
+        _setattr(self, "symmetric", symmetric)
+        _setattr(self, "generators", generators)
+        _setattr(self, "tower_step", tower_step)
+        _setattr(self, "inner", inner)
+        _setattr(self, "outer", outer)
+        _setattr(self, "confidence_window", confidence_window)
 
     def to_json(self) -> dict:
         data: dict = {"variant": self.variant, "window": self.confidence_window}
@@ -247,7 +260,10 @@ def classify(P: SchurPresentation) -> FamilyDescriptor:
     ok, msg = class_shape_holds(P)
     if not ok:
         raise Unclassifiable(f"class-shape dichotomy fails: {msg}")
-    descriptor = replace(_classify_core(P, mode), confidence_window=P.window)
+    d = _classify_core(P, mode)
+    descriptor = FamilyDescriptor(
+        d.variant, d.symmetric, d.generators, d.tower_step, d.inner, d.outer, P.window
+    )
     ok, msg = power_in_subgroup_holds(P, find_H(P))
     if not ok:
         raise Unclassifiable(f"small-class power rule fails: {msg}")

@@ -8,6 +8,9 @@ input is read strictly: a count, exponent or window must be a JSON integer.
 With ``--json`` every stdout line is a JSON document; otherwise output is a
 small human-readable table.
 
+Each call loads only what its command runs: ``classify``, ``constructions``
+and ``enumeration`` are imported inside the commands that use them.
+
 Configuration precedence for defaults (window, bounds): command-line flag,
 then the SRING_* environment variable, then a key=value config file passed
 via --config, then the built-in default.
@@ -22,14 +25,6 @@ import re
 import sys
 from pathlib import Path
 
-from .classify import (
-    RECOMMENDED_WINDOW,
-    classify,
-    find_H,
-    resynthesize,
-)
-from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
-from .enumeration import DEFAULT_FINITE_BOUND, enumerate_finite, enumerate_windowed, is_traditional
 from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
@@ -60,10 +55,8 @@ _FAILURES = (
 # window exits 2 before anything is built.
 MAX_CONSTRUCT_ELEMENTS = 10**6
 
-_DEFAULTS = {
-    "window": RECOMMENDED_WINDOW,
-    "finite_bound": DEFAULT_FINITE_BOUND,
-}
+# The window construct uses when none is set; classify is most certain from it on.
+RECOMMENDED_WINDOW = 12
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -80,13 +73,13 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve_setting(args: argparse.Namespace, key: str) -> int:
+def resolve_setting(args: argparse.Namespace, key: str, default: int) -> int:
     """One setting a command reads: flag > environment > config file > default."""
     file_values = _load_config_file(args.config) if args.config else {}
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    value = os.environ.get(f"SRING_{key.upper()}", file_values.get(key, _DEFAULTS[key]))
+    value = os.environ.get(f"SRING_{key.upper()}", file_values.get(key, default))
     try:
         return int(value)
     except ValueError:
@@ -102,12 +95,12 @@ def parse_group(text: str) -> GroupDescriptor:
     if not match:
         raise ValueError(f"cannot parse group {text!r} (expected Zn, ZxZm or ZnxZm)")
     first, second = match.group(1), match.group(2)
-    if second is None:
-        if first is None:
-            return GroupDescriptor(0, 1)  # plain Z
-        return GroupDescriptor(1, int(first))  # cyclic Z_n as the torsion factor
+    if second is None:  # "Z" is Z x Z_1, and "Zn" is Z_1 x Z_n
+        first, second = (None, "1") if first is None else ("1", first)
     if first is not None and int(first) == 0:  # free order 0 encodes Z; it is written "Z"
         raise ValueError(f"free order must be positive in {text!r} (write ZxZm for Z x Z_m)")
+    if int(second) == 0:
+        raise ValueError(f"cyclic order must be positive in {text!r}")
     return GroupDescriptor(0 if first is None else int(first), int(second))
 
 
@@ -151,7 +144,9 @@ def _require_size(count: int) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    window = resolve_setting(args, "window")
+    from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
+
+    window = resolve_setting(args, "window", RECOMMENDED_WINDOW)
     params = json_value(_load_json(args.params or "{}"), dict, "--params")
     group = parse_group(json_field(params, "group", str, "ZxZ3"))
     if args.kind != "tensor":
@@ -183,6 +178,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import classify, resynthesize
+
     P = _read_presentation(args.presentation)
     try:
         descriptor = classify(P)
@@ -199,6 +196,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import (
+        DEFAULT_FINITE_BOUND,
+        enumerate_finite,
+        enumerate_windowed,
+        is_traditional,
+    )
+
     if args.windowed is not None:
         if args.finite_bound is not None:
             raise ValueError("--finite-bound applies only with --group")
@@ -209,7 +213,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.projection is not None:
             raise ValueError("--projection applies only with --windowed")
         group = parse_group(args.group)
-        presentations = enumerate_finite(group, bound=resolve_setting(args, "finite_bound"))
+        bound = resolve_setting(args, "finite_bound", DEFAULT_FINITE_BOUND)
+        presentations = enumerate_finite(group, bound=bound)
         label = args.group
         histogram = {}
         for P in presentations:
@@ -228,6 +233,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
+    from .classify import find_H
+
     P = _read_presentation(args.presentation)
     report = verify_axioms(P)
     rows: list[tuple[str, bool, str]] = []

@@ -8,7 +8,6 @@ hold on the emitted presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -23,7 +22,9 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     QuotientMap,
+    Record,
     Subgroup,
+    _setattr,
     orbit,
 )
 from .schur import SchurPresentation, is_ssubgroup, quotient, reach, restrict
@@ -142,18 +143,22 @@ def tensor(A: SchurPresentation, B: SchurPresentation) -> SchurPresentation:
     )
 
 
-@dataclass(frozen=True)
-class WedgeSpec:
+class WedgeSpec(Record):
     """A wedge decomposition 1 < K <= H < G with its two presentations.
 
     ``inner`` lives over H's own descriptor (H.as_group coordinates) and
     ``outer`` over the canonical descriptor of G/K.
     """
 
-    H: Subgroup
-    K: Subgroup
-    inner: SchurPresentation
-    outer: SchurPresentation
+    __slots__ = ("H", "K", "inner", "outer")
+
+    def __init__(
+        self, H: Subgroup, K: Subgroup, inner: SchurPresentation, outer: SchurPresentation
+    ) -> None:
+        _setattr(self, "H", H)
+        _setattr(self, "K", K)
+        _setattr(self, "inner", inner)
+        _setattr(self, "outer", outer)
 
 
 def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:

@@ -8,7 +8,6 @@ the classifier at desk scale.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
@@ -16,7 +15,9 @@ from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     Automorphism,
     GroupDescriptor,
+    Record,
     Subgroup,
+    _setattr,
     all_subgroups,
     canonical_generators,
 )
@@ -40,16 +41,18 @@ MAX_WINDOW = 12
 # -- exhaustive enumeration over finite groups --------------------------------
 
 
-def _closed(classes: list[frozenset], fresh: Sequence[frozenset], multiply: Callable) -> bool:
+def _closed(
+    classes: list[frozenset], fresh: Sequence[frozenset], multiply: Callable, member: dict
+) -> bool:
     """Whether each product of a fresh class with a class of ``classes`` is
     constant on every class of ``classes`` it meets; both searches prune on it.
 
-    ``multiply(c, d)`` counts the class-sum product per element.  ``fresh``
-    are the classes just added, which end ``classes``; pairs of older classes
+    ``multiply(c, d)`` counts the class-sum product per element, and
+    ``member`` maps each element of ``classes`` to its class.  ``fresh`` are
+    the classes just added, which end ``classes``; pairs of older classes
     were tested when the younger of the two was added.  ``classes[0]`` is the
     identity class, skipped since C{1} = C is constant on C.
     """
-    member = {g: c for c in classes for g in c}
     start = len(classes) - len(fresh)
     return all(
         split_class(multiply(classes[i], d), member) is None
@@ -115,31 +118,45 @@ def enumerate_finite(
     def multiply(c: frozenset, d: frozenset) -> Counter:
         return Counter([table[x][y] for x in c for y in d])
 
-    def extend(classes: list[frozenset], remaining: tuple[int, ...]) -> None:
+    def extend(classes: list[frozenset], remaining: tuple[int, ...], member: dict) -> None:
+        """Search below a node; ``member`` maps each element of ``classes`` to its class."""
         if not remaining:
             P = SchurPresentation(group, [[elems[i] for i in c] for c in classes])
             if verify_axioms(P).verdict == VALID:
                 results.append(P)
             return
         for fresh in _star_pairs(remaining, inv) if prune else _subsets(remaining):
-            if prune and not _closed(classes + fresh, fresh, multiply):
-                continue
-            used = set().union(*fresh)
-            extend(classes + fresh, tuple(g for g in remaining if g not in used))
+            extended = classes + fresh
+            grown = member | {g: c for c in fresh for g in c}
+            if not prune or _closed(extended, fresh, multiply, grown):
+                extend(extended, tuple(g for g in remaining if g not in grown), grown)
 
-    extend([frozenset([0])], tuple(range(1, len(elems))))
+    identity = frozenset([0])
+    extend([identity], tuple(range(1, len(elems))), {0: identity})
     return sorted(results, key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
 
 
 # -- traditionality -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraditionalityResult:
-    kind: str  # "trivial" | "orbit" | "tensor" | "wedge" | "no"
-    generators: tuple[Automorphism, ...] = ()
-    split: tuple[Subgroup, Subgroup] | None = None
-    tower: tuple[Subgroup, Subgroup] | None = None  # (K, H)
+class TraditionalityResult(Record):
+    """The family ``is_traditional`` found: "trivial", "orbit", "tensor",
+    "wedge" or "no", with the orbit generators, the split (H, K) of a tensor
+    or the tower (K, H) of a wedge."""
+
+    __slots__ = ("kind", "generators", "split", "tower")
+
+    def __init__(
+        self,
+        kind: str,
+        generators: tuple[Automorphism, ...] = (),
+        split: tuple[Subgroup, Subgroup] | None = None,
+        tower: tuple[Subgroup, Subgroup] | None = None,
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "generators", generators)
+        _setattr(self, "split", split)
+        _setattr(self, "tower", tower)
 
     def __bool__(self) -> bool:
         return self.kind != "no"
@@ -275,7 +292,9 @@ def enumerate_windowed(
     def multiply(c: frozenset, d: frozenset) -> dict:
         return class_product(c, d, group)
 
-    def extend(classes: list[frozenset], level: int, candidates: list, mode: str) -> None:
+    def extend(
+        classes: list[frozenset], level: int, candidates: list, mode: str, member: dict
+    ) -> None:
         if level > window:
             P = SchurPresentation(group, classes, window=window, tag=f"windowed({mode})")
             if verify_axioms(P).ok:
@@ -283,12 +302,14 @@ def enumerate_windowed(
             return
         for layout in candidates[level]:
             extended = classes + list(layout)
-            if _closed(extended, layout, multiply):
-                extend(extended, level + 1, candidates, mode)
+            grown = member | {g: c for c in layout for g in c}
+            if _closed(extended, layout, multiply, grown):
+                extend(extended, level + 1, candidates, mode, grown)
 
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
         candidates = [_level_candidates(group, k, mode) for k in range(window + 1)]
-        extend([frozenset([group.identity])], 0, candidates, mode)
+        identity = frozenset([group.identity])
+        extend([identity], 0, candidates, mode, {group.identity: identity})
     return results

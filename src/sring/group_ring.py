@@ -7,12 +7,11 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvalidCoeffFn, ZeroElement
-from .groups import GroupDescriptor, GroupElement, Subgroup, format_element
+from .groups import GroupDescriptor, GroupElement, Record, Subgroup, _setattr, format_element
 
 Rational = int | Fraction
 
@@ -204,24 +203,22 @@ def simple_quantity(group: GroupDescriptor, elems: Iterable[GroupElement]) -> Ri
     return RingElement(group, [(g, 1) for g in set(elems)])
 
 
-@dataclass(frozen=True)
-class CoeffFn:
+class CoeffFn(Record):
     """A coefficient remap: finite exception table plus a default for nonzero.
 
     Zero always maps to zero, which the constructor enforces; this is the
     serializable shape of the coefficient functions the theory applies.
     """
 
-    table: tuple[tuple[Fraction, Fraction], ...] = ()
-    default: Fraction = Fraction(0)
+    __slots__ = ("table", "default")
 
-    def __post_init__(self) -> None:
-        norm = tuple(sorted((Fraction(v), Fraction(img)) for v, img in self.table))
-        object.__setattr__(self, "table", norm)
-        object.__setattr__(self, "default", Fraction(self.default))
+    def __init__(self, table: Iterable[tuple[Rational, Rational]] = (), default: Rational = 0):
+        norm = tuple(sorted((Fraction(v), Fraction(img)) for v, img in table))
         for v, img in norm:
             if v == 0 and img != 0:
                 raise InvalidCoeffFn("coefficient functions must send 0 to 0")
+        _setattr(self, "table", norm)
+        _setattr(self, "default", Fraction(default))
 
     def __call__(self, value: Rational) -> Fraction:
         value = Fraction(value)

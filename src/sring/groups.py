@@ -8,9 +8,9 @@ reduced exponent pairs, so equality is structural.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InfiniteGroup, InvalidAutomorphism
@@ -28,23 +28,61 @@ class GroupElement(NamedTuple):
 
 IDENTITY = GroupElement(0, 0)
 
+_setattr = object.__setattr__  # how a record's __init__ sets its fields
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+
+class Record:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    Equality (same class, equal fields), hash (of the field tuple) and repr
+    (``Name(field=value, ...)``) are those of a frozen dataclass.  A
+    subclass's ``__init__`` sets each field once with ``_setattr``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)  # instance -> tuple of fields
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which takes the fields
+        return type(self), self._fields(self)
+
+
+class GroupDescriptor(Record):
     """Direct product of a cyclic free factor and a cyclic torsion factor.
 
     ``free_order == 0`` encodes the infinite cyclic factor; ``free_order == n``
     with n >= 1 gives Z_n.  ``torsion_order`` is the order m >= 1 of <a>.
     """
 
-    free_order: int = 0
-    torsion_order: int = 1
+    __slots__ = ("free_order", "torsion_order")
 
-    def __post_init__(self) -> None:
-        if self.free_order < 0:
+    def __init__(self, free_order: int = 0, torsion_order: int = 1) -> None:
+        if free_order < 0:
             raise ValueError("free_order must be 0 (infinite) or >= 1")
-        if self.torsion_order < 1:
+        if torsion_order < 1:
             raise ValueError("torsion_order must be >= 1")
+        _setattr(self, "free_order", free_order)
+        _setattr(self, "torsion_order", torsion_order)
 
     @property
     def is_infinite(self) -> bool:
@@ -197,8 +235,7 @@ def _units(n: int) -> list[int]:
     return [u for u in range(n) if gcd(u, n) == 1]
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """Automorphism of the form z -> a^twist * z^unit, a -> a^torsion_unit.
 
     This parametric family is the whole automorphism group for the infinite
@@ -207,27 +244,29 @@ class Automorphism:
     rejects parameters that do not extend to a bijective homomorphism.
     """
 
-    group: GroupDescriptor
-    twist: int          # exponent j in z -> a^j z^e
-    unit: int           # e: +1/-1 for infinite free part, else a unit mod n
-    torsion_unit: int   # u in a -> a^u, coprime to m
+    # twist: exponent j in z -> a^j z^e; unit: e, +1/-1 for an infinite free
+    # part, else a unit mod n; torsion_unit: u in a -> a^u, coprime to m
+    __slots__ = ("group", "twist", "unit", "torsion_unit")
 
-    def __post_init__(self) -> None:
-        G = self.group
-        n, m = G.free_order, G.torsion_order
-        object.__setattr__(self, "twist", self.twist % m)
-        object.__setattr__(self, "torsion_unit", self.torsion_unit % m)
-        if gcd(self.torsion_unit, m) != 1:
-            raise InvalidAutomorphism(f"a -> a^{self.torsion_unit} is not bijective mod {m}")
+    def __init__(self, group: GroupDescriptor, twist: int, unit: int, torsion_unit: int) -> None:
+        n, m = group.free_order, group.torsion_order
+        twist %= m
+        torsion_unit %= m
+        if gcd(torsion_unit, m) != 1:
+            raise InvalidAutomorphism(f"a -> a^{torsion_unit} is not bijective mod {m}")
         if n == 0:
-            if self.unit not in (1, -1):
+            if unit not in (1, -1):
                 raise InvalidAutomorphism("infinite free part needs z -> a^j z^(+-1)")
         else:
-            object.__setattr__(self, "unit", self.unit % n)
-            if gcd(self.unit, n) != 1:
-                raise InvalidAutomorphism(f"z -> z^{self.unit} is not bijective mod {n}")
-            if (self.twist * n) % m:
+            unit %= n
+            if gcd(unit, n) != 1:
+                raise InvalidAutomorphism(f"z -> z^{unit} is not bijective mod {n}")
+            if (twist * n) % m:
                 raise InvalidAutomorphism("image of z would violate z^n = 1")
+        _setattr(self, "group", group)
+        _setattr(self, "twist", twist)
+        _setattr(self, "unit", unit)
+        _setattr(self, "torsion_unit", torsion_unit)
 
     def apply(self, g: GroupElement) -> GroupElement:
         return self.group.element(
@@ -482,8 +521,7 @@ def _diagonal_coords(p: int, q: int, r: int) -> tuple[int, int, tuple, tuple]:
     return abs(A[1][1]), A[0][0], V, V_inv
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """Subgroup in Hermite-style normal form.
 
     Generated by z^free_step * a^twist together with a^torsion_step.  For the
@@ -497,14 +535,13 @@ class Subgroup:
     "twisted" ones such as <az> that the plain <z^h> x <a^d> shape misses.
     """
 
-    group: GroupDescriptor
-    free_step: int
-    twist: int
-    torsion_step: int
+    __slots__ = ("group", "free_step", "twist", "torsion_step")
 
-    def __post_init__(self) -> None:
-        n, m = self.group.free_order, self.group.torsion_order
-        d, h, c = self.torsion_step, self.free_step, self.twist
+    def __init__(
+        self, group: GroupDescriptor, free_step: int, twist: int, torsion_step: int
+    ) -> None:
+        n, m = group.free_order, group.torsion_order
+        d, h, c = torsion_step, free_step, twist
         if d < 1 or m % d:
             raise ValueError("torsion_step must divide the torsion order")
         if n == 0:
@@ -515,10 +552,14 @@ class Subgroup:
                 raise ValueError("free_step must divide the free order")
         if not 0 <= c < d:
             raise ValueError("twist must satisfy 0 <= twist < torsion_step")
-        if self._free_trivial and c:
+        if h == n and c:  # h == n is the trivial free part, for Z (n = 0) and Z_n alike
             raise ValueError("twist must be 0 when the free part is trivial")
         if n and h != n and ((n // h) * c) % d:
             raise ValueError("twist incompatible with the free-part wrap-around")
+        _setattr(self, "group", group)
+        _setattr(self, "free_step", free_step)
+        _setattr(self, "twist", twist)
+        _setattr(self, "torsion_step", torsion_step)
 
     # -- constructors --------------------------------------------------------
 

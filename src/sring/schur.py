@@ -8,14 +8,13 @@ inside the window, so truncation can never produce a false negative.
 Class sums have non-negative integer coefficients, so both verifiers (and the
 enumerators) multiply them with :func:`class_product`, which counts products
 of exponent pairs directly.  :class:`RingElement` stays the exact rational
-algebra for the span and multiplier checks.
+algebra for the span and multiplier checks; only the lemma checks that build
+ring elements load :mod:`sring.group_ring`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     BadPrime,
@@ -24,19 +23,25 @@ from .errors import (
     NotSSet,
     NotSSubgroup,
 )
-from .group_ring import CoeffFn, RingElement, simple_quantity
 from .groups import (
     Automorphism,
     GroupDescriptor,
     GroupElement,
     QuotientMap,
+    Record,
     Subgroup,
+    _setattr,
     all_automorphisms,
     format_element,
     json_field,
     json_int_pair,
     json_value,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .group_ring import RingElement
 
 BasicSet = frozenset
 
@@ -117,14 +122,20 @@ class SchurPresentation:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Concrete evidence for an Invalid verdict."""
+class Witness(Record):
+    """Concrete evidence for an Invalid verdict.
 
-    kind: str  # "identity-class" | "star-closure" | "product-closure"
-    left: tuple
-    right: tuple | None
-    detail: str
+    ``kind`` is "identity-class", "star-closure" or "product-closure";
+    ``left`` and ``right`` (or None) are the classes involved, as tuples.
+    """
+
+    __slots__ = ("kind", "left", "right", "detail")
+
+    def __init__(self, kind: str, left: tuple, right: tuple | None, detail: str) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {
@@ -140,12 +151,22 @@ VALID_UP_TO_WINDOW = "valid-up-to-window"
 INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    verdict: str
-    checked_pairs: int
-    effective_window: int | None = None
-    witness: Witness | None = None
+class VerificationReport(Record):
+    """A verdict, the class pairs checked, and a witness when invalid."""
+
+    __slots__ = ("verdict", "checked_pairs", "effective_window", "witness")
+
+    def __init__(
+        self,
+        verdict: str,
+        checked_pairs: int,
+        effective_window: int | None = None,
+        witness: Witness | None = None,
+    ) -> None:
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "checked_pairs", checked_pairs)
+        _setattr(self, "effective_window", effective_window)
+        _setattr(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -566,6 +587,8 @@ def multiplier_set_congruence(
     Computes the p-th convolution power of the simple quantity of X, then
     keeps the support where the (integral) coefficient is not divisible by p.
     """
+    from .group_ring import CoeffFn, simple_quantity
+
     G = P.group
     X = frozenset(G.element(*g) for g in X)
     _check_multiplier_preconditions(X, p, P)
@@ -586,6 +609,8 @@ def multiplier_set_congruence(
 
 def frobenius_closure_holds(P: SchurPresentation, k: int) -> tuple[bool, str]:
     """Whether every in-reach class maps to an S-set under g -> g^k."""
+    from .group_ring import simple_quantity
+
     G = P.group
     for c in P.classes:
         if G.is_infinite and reach(c) * abs(k) > P.window:

@@ -92,6 +92,8 @@ MALFORMED = [
     pytest.param(["enumerate", "--windowed", "3", "--finite-bound", "16"], {},
                  id="finite-bound-with-windowed"),
     pytest.param(["enumerate", "--windowed", "13"], {}, id="windowed-above-cap"),
+    *[pytest.param(["enumerate", "--group", text], {}, id=f"enumerate-group-{text}")
+      for text in ("Z0", "ZxZ0", "Z3xZ0")],
     *[pytest.param([*command.split(), f"@{name}"], {}, id=f"{command}-{name}")
       for command in ("verify", "classify", "check-lemmas")
       for name in ("array", "group5", "classes5", "float_exponent", "deep", "huge_window")],
@@ -124,6 +126,11 @@ class TestParseGroup:
     @pytest.mark.parametrize("text", ["Z0xZ3", "Z00xZ2"])
     def test_written_free_order_zero_rejected(self, text):
         with pytest.raises(ValueError, match="free order"):
+            parse_group(text)
+
+    @pytest.mark.parametrize("text", ["Z0", "ZxZ0", "Z3xZ0", "Z00"])
+    def test_cyclic_order_zero_rejected_with_the_input(self, text):
+        with pytest.raises(ValueError, match=f"^cyclic order must be positive in '{text}'$"):
             parse_group(text)
 
 
@@ -402,6 +409,31 @@ class TestInputBoundary:
         path.write_text(out)
         code, out, _ = invoke(capsys, "classify", str(path))
         assert code == 1 and out.startswith("unclassifiable: ")
+
+    @pytest.mark.parametrize("text", ["Z0", "ZxZ0", "Z3xZ0"])
+    def test_enumerate_zero_order_names_the_input(self, capsys, text):
+        code, out, _ = invoke(capsys, "--json", "enumerate", "--group", text)
+        assert (code, json.loads(out)) == (
+            2, {"error": f"cyclic order must be positive in '{text}'"}
+        )
+
+    def test_classify_other_group_prints_the_descriptor(self, capsys, tmp_path):
+        _, out, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z4"}')
+        path = tmp_path / "z4.json"
+        path.write_text(out)
+        code, out, _ = invoke(capsys, "classify", str(path))
+        assert (code, out) == (1, "unclassifiable: classification is defined over Z x Z_3, "
+                                  "got GroupDescriptor(free_order=1, torsion_order=4)\n")
+
+    def test_construct_tensor_of_two_torsion_groups_prints_both_descriptors(self, capsys):
+        _, left, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z2"}')
+        _, right, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z3"}')
+        params = json.dumps({"left": json.loads(left), "right": json.loads(right)})
+        code, out, _ = invoke(capsys, "--json", "construct", "--kind", "tensor", "--params", params)
+        assert (code, json.loads(out)) == (2, {"error": (
+            "cannot realize GroupDescriptor(free_order=1, torsion_order=2) x "
+            "GroupDescriptor(free_order=1, torsion_order=3) as a free x torsion group"
+        )})
 
     def test_construct_window_too_small_exits_three(self, capsys):
         code, out, _ = invoke(capsys, "--json", "construct", "--kind", "discrete", "--window", "0")
