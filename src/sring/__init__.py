@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "classify": ("FamilyDescriptor", "classify", "find_H", "projection_type", "resynthesize"),
     "constructions": (
-        "WedgeSpec", "discrete", "orbit_ring", "standard_wedge", "symmetric", "tensor",
-        "trivial", "wedge",
+        "WedgeSpec", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric",
+        "tensor", "trivial", "wedge",
     ),
     "enumeration": (
         "TraditionalityResult", "enumerate_finite", "enumerate_windowed", "is_traditional",

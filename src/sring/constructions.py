@@ -27,7 +27,7 @@ from .groups import (
     _setattr,
     orbit,
 )
-from .schur import SchurPresentation, is_ssubgroup, quotient, reach, restrict
+from .schur import SchurPresentation, is_ssubgroup, reach
 
 
 def _require_window(group: GroupDescriptor, window: int) -> None:
@@ -95,12 +95,24 @@ def symmetric(group: GroupDescriptor, window: int = 0) -> SchurPresentation:
     return orbit_ring(group, [Automorphism.inversion(group)], window=window)
 
 
+def _direct_product(
+    H: Subgroup, K: Subgroup, A: SchurPresentation, B: SchurPresentation
+) -> SchurPresentation:
+    """The classes C*D over the internal direct product G = H x K, for A over
+    ``H.as_group()`` and B over ``K.as_group()``; the window is A's."""
+    G, h_coords, k_coords = H.group, H.as_group()[1], K.as_group()[1]
+    left = [[h_coords.from_sub(g) for g in c] for c in A.classes]
+    right = [[k_coords.from_sub(g) for g in d] for d in B.classes]
+    classes = [frozenset(G.mul(x, y) for x in c for y in d) for c in left for d in right]
+    return SchurPresentation(G, classes, window=A.window, tag=f"tensor({A.tag},{B.tag})")
+
+
 def tensor(A: SchurPresentation, B: SchurPresentation) -> SchurPresentation:
     """The presentation on H x K whose classes are the products C*D.
 
     Supported when one factor carries only the free part and the other only
-    the torsion part (either order), so the product is again a supported
-    free x torsion descriptor.
+    the torsion part (either order), so the product is the split <z> x <a>
+    of a free x torsion descriptor.  :func:`build` realizes other splits.
     """
     GA, GB = A.group, B.group
 
@@ -127,19 +139,8 @@ def tensor(A: SchurPresentation, B: SchurPresentation) -> SchurPresentation:
     group = GroupDescriptor(
         free_factor.group.free_order, torsion_factor.group.torsion_order
     )
-    classes = []
-    for c in free_factor.classes:
-        for d in torsion_factor.classes:
-            classes.append(
-                frozenset(
-                    GroupElement(g.z_exp, h.a_exp) for g in c for h in d
-                )
-            )
-    return SchurPresentation(
-        group,
-        classes,
-        window=free_factor.window,
-        tag=f"tensor({free_factor.tag},{torsion_factor.tag})",
+    return _direct_product(
+        Subgroup.free_power(group, 1), Subgroup.torsion(group), free_factor, torsion_factor
     )
 
 
@@ -164,8 +165,9 @@ class WedgeSpec(Record):
 def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
     """Assemble a wedge: inner classes inside H, K-coset unions outside.
 
-    The inner and outer presentations must agree on the overlap:
-    quotient(inner, K) == restrict(outer, H/K) on the common window.
+    The inner and outer presentations must agree on the overlap H/K: the
+    images in G/K of the inner classes are the outer classes inside H/K, on
+    the window both cover.
     """
     H, K = spec.H, spec.K
     G = H.group
@@ -199,51 +201,27 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
             f"outer presentation is over {spec.outer.group}, expected {qm.descriptor}"
         )
 
-    # K inside H's coordinates must be an S-subgroup of the inner presentation.
-    k_in_h = Subgroup.generated_by(
-        h_desc, [h_coords.to_sub(g) for g in K.elements()]
-    )
-    if not is_ssubgroup(spec.inner, k_in_h):
+    # The inner and outer rings are compared on H/K in the coordinates of G/K.
+    inner = [frozenset(h_coords.from_sub(g) for g in c) for c in spec.inner.classes]
+    k_elems = frozenset(K.elements())
+    if not all(c <= k_elems or c.isdisjoint(k_elems) for c in inner):
         raise IncompatibleWedge("K is not an S-subgroup of the inner presentation")
-
-    # H/K inside G/K must be an S-subgroup of the outer presentation.
-    if H.order is None:
-        h_image_gens = [qm.project(h_coords.from_sub(g)) for g in
-                        [GroupElement(1, 0), GroupElement(0, 1)]]
-    else:
-        h_image_gens = [qm.project(g) for g in H.elements()]
-    h_image = Subgroup.generated_by(qm.descriptor, h_image_gens)
+    h_image = Subgroup.generated_by(qm.descriptor, [qm.project(g) for g in H.generators()])
     if not is_ssubgroup(spec.outer, h_image):
         raise IncompatibleWedge("H/K is not an S-subgroup of the outer presentation")
-
-    overlap_inner = quotient(spec.inner, k_in_h)
-    overlap_outer = restrict(spec.outer, h_image)
-    if overlap_inner.group != overlap_outer.group:
-        raise IncompatibleWedge(
-            "inner/K and outer|H/K live over different groups: "
-            f"{overlap_inner.group} vs {overlap_outer.group}"
-        )
-    if overlap_inner.group.is_infinite:
-        common = min(overlap_inner.window, overlap_outer.window)
-        left = {c for c in overlap_inner.classes if reach(c) <= common}
-        right = {c for c in overlap_outer.classes if reach(c) <= common}
-    else:
-        left, right = set(overlap_inner.classes), set(overlap_outer.classes)
+    outside = [d for d in spec.outer.classes if next(iter(d)) not in h_image]
+    left = {qm.project_set(c) for c in inner}
+    right = set(spec.outer.classes) - set(outside)
+    if G.is_infinite:  # only classes inside both windows; K is finite, so z is kept
+        common = min(spec.outer.window, spec.inner.window * H.free_step)
+        left = {c for c in left if reach(c) <= common}
+        right = {d for d in right if reach(d) <= common}
     if left != right:
         raise IncompatibleWedge("inner and outer presentations disagree on H/K")
 
-    classes: list[frozenset] = []
-    for c in spec.inner.classes:
-        embedded = frozenset(h_coords.from_sub(g) for g in c)
-        if G.is_infinite and reach(embedded) > window:
-            continue
-        classes.append(embedded)
-    for d in spec.outer.classes:
-        if all(g in h_image for g in d):
-            continue  # covered by the inner presentation
-        preimage = frozenset(
-            g for q in d for g in qm.preimage(q)
-        )
+    classes = [c for c in inner if not G.is_infinite or reach(c) <= window]
+    for d in outside:
+        preimage = frozenset(g for q in d for g in qm.preimage(q))
         if G.is_infinite and reach(preimage) > window:
             continue  # coset classes are emitted only when entirely inside the window
         classes.append(preimage)
@@ -253,6 +231,27 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
         window=window if G.is_infinite else 0,
         tag=f"wedge({spec.inner.tag}|{spec.outer.tag})",
     )
+
+
+def build(group: GroupDescriptor, recipe) -> SchurPresentation:
+    """The ring over the finite ``group`` that ``recipe`` names, a
+    :class:`~sring.enumeration.TraditionalityResult`; "no" raises ValueError."""
+    if recipe.kind == "trivial":
+        return trivial(group)
+    if recipe.kind == "orbit":
+        return orbit_ring(group, recipe.generators)
+    if recipe.kind == "tensor":
+        (H, K), (left, right) = recipe.subgroups, recipe.parts
+        HK = Subgroup.generated_by(group, H.generators() + K.generators())
+        if H.order * K.order != group.order or not HK.is_full:
+            raise UnsupportedProduct(f"{H} x {K} is not a split of {group}")
+        return _direct_product(H, K, build(H.as_group()[0], left), build(K.as_group()[0], right))
+    if recipe.kind == "wedge":
+        (K, H), (inner, outer) = recipe.subgroups, recipe.parts
+        return wedge(WedgeSpec(
+            H, K, build(H.as_group()[0], inner), build(QuotientMap(group, K).descriptor, outer)
+        ))
+    raise ValueError(f"a {recipe.kind!r} recipe builds no ring")
 
 
 # The presentations a standard wedge builds by name.  Over <a> (step 0) the

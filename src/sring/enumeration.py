@@ -8,9 +8,11 @@ the classifier at desk scale.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache, partial
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
+from .constructions import WedgeSpec, _direct_product, wedge
 from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     Automorphism,
@@ -140,40 +142,38 @@ def enumerate_finite(
 
 
 class TraditionalityResult(Record):
-    """The family ``is_traditional`` found: "trivial", "orbit", "tensor",
-    "wedge" or "no", with the orbit generators, the split (H, K) of a tensor
-    or the tower (K, H) of a wedge."""
+    """A recipe for a traditional ring, or "no".
 
-    __slots__ = ("kind", "generators", "split", "tower")
+    ``kind`` is "trivial", "orbit", "tensor", "wedge" or "no".  An orbit
+    recipe carries the generators of its automorphism group.  A tensor
+    carries the split (H, K) of G = H x K in ``subgroups`` and a recipe for
+    each factor in ``parts``, over ``H.as_group()`` and ``K.as_group()``.  A
+    wedge carries the tower (K, H) and recipes for its inner ring over
+    ``H.as_group()`` and its outer ring over G/K.
+    :func:`sring.constructions.build` realizes a recipe.
+    """
+
+    __slots__ = ("kind", "generators", "subgroups", "parts")
 
     def __init__(
         self,
         kind: str,
         generators: tuple[Automorphism, ...] = (),
-        split: tuple[Subgroup, Subgroup] | None = None,
-        tower: tuple[Subgroup, Subgroup] | None = None,
+        subgroups: tuple[Subgroup, Subgroup] | None = None,
+        parts: tuple[TraditionalityResult, TraditionalityResult] | None = None,
     ) -> None:
         _setattr(self, "kind", kind)
         _setattr(self, "generators", generators)
-        _setattr(self, "split", split)
-        _setattr(self, "tower", tower)
+        _setattr(self, "subgroups", subgroups)
+        _setattr(self, "parts", parts)
 
     def __bool__(self) -> bool:
         return self.kind != "no"
 
-    def describe(self) -> str:
-        if self.kind == "orbit":
-            return "orbit<" + ",".join(str(g) for g in self.generators) + ">"
-        if self.kind == "tensor":
-            return f"tensor({self.split[0]} x {self.split[1]})"
-        if self.kind == "wedge":
-            return f"wedge(K={self.tower[0]}, H={self.tower[1]})"
-        return self.kind
-
 
 def is_traditional(P: SchurPresentation) -> TraditionalityResult:
-    """First matching family: trivial, orbit, tensor, wedge (parts recursively
-    traditional), else "no".
+    """A recipe that :func:`~sring.constructions.build` turns back into P:
+    the first of trivial, orbit, tensor and wedge that fits, else "no".
 
     P is an orbit ring exactly when it is the orbit partition of its own
     class stabilizer S (the automorphisms fixing every class setwise): any
@@ -182,18 +182,21 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
     of g is {phi(g) : phi in S}, so it suffices that one element of each class
     has an S-orbit as large as its class.  An orbit result carries the
     canonical generators of S.  S is taken in the parametric automorphism
-    family, which is all of Aut(G) whenever the two factor orders are coprime.
+    family, which is all of Aut(G) whenever the two factor orders are coprime,
+    so a "no" over Z_n x Z_m with gcd(n, m) > 1 may be false.
 
-    The tensor and wedge tests run over one list of the proper nontrivial
-    S-subgroups with their element sets, in :func:`all_subgroups` order.
+    A tensor or wedge candidate, over the proper nontrivial S-subgroups in
+    :func:`all_subgroups` order, is accepted when rebuilding it from P's own
+    parts (:func:`restrict` and :func:`quotient`) gives P back and both parts
+    are traditional in turn, so by induction ``build(G, is_traditional(P))
+    == P`` for every "yes".
     """
     G = P.group
     if G.is_infinite:
         raise InfiniteGroup("traditionality detection works on finite groups")
-    class_set = set(P.classes)
 
     rest = frozenset(g for g in G.elements() if g != G.identity)
-    if G.order >= 2 and class_set == {frozenset([G.identity]), rest}:
+    if G.order >= 2 and set(P.classes) == {frozenset([G.identity]), rest}:
         return TraditionalityResult("trivial")
 
     S = class_stabilizer(P)
@@ -207,33 +210,28 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
         for h_elems in [frozenset(H.elements())]
         if all(c <= h_elems or c.isdisjoint(h_elems) for c in P.classes)
     ]
-    for H, h_elems in proper:
-        for K, k_elems in proper:
-            if H.order * K.order != G.order or len(h_elems & k_elems) != 1:
-                continue
-            products = {
-                frozenset(G.mul(x, y) for x in ch for y in ck)
-                for ch in P.classes
-                if ch <= h_elems
-                for ck in P.classes
-                if ck <= k_elems
-            }
-            if products == class_set:
-                return TraditionalityResult("tensor", split=(H, K))
 
-    for H, h_elems in proper:
-        for K, k_elems in proper:
-            if not k_elems <= h_elems:
-                continue
-            outside_ok = all(
-                frozenset(G.mul(g, k) for k in k_elems) <= c
-                for c in P.classes
-                if not c <= h_elems
-                for g in c
-            )
-            if outside_ok and is_traditional(restrict(P, H)) and is_traditional(quotient(P, K)):
-                return TraditionalityResult("wedge", tower=(K, H))
+    # P's parts, each computed once and only when a candidate first needs it
+    restricted, quotiented = cache(partial(restrict, P)), cache(partial(quotient, P))
 
+    def candidates() -> Iterator[tuple]:
+        """(kind, subgroups, parts, the ring rebuilt from the parts)"""
+        for H, h_elems in proper:
+            for K, k_elems in proper:
+                if H.order * K.order == G.order and len(h_elems & k_elems) == 1:
+                    parts = restricted(H), restricted(K)
+                    yield "tensor", (H, K), parts, _direct_product(H, K, *parts)
+        for H, h_elems in proper:
+            for K, k_elems in proper:
+                if k_elems <= h_elems:
+                    parts = restricted(H), quotiented(K)
+                    yield "wedge", (K, H), parts, wedge(WedgeSpec(H, K, *parts))
+
+    for kind, subgroups, parts, rebuilt in candidates():
+        if rebuilt == P:
+            recipes = tuple(is_traditional(Q) for Q in parts)
+            if all(recipes):
+                return TraditionalityResult(kind, subgroups=subgroups, parts=recipes)
     return TraditionalityResult("no")
 
 

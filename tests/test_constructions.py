@@ -4,13 +4,18 @@ from sring import (
     Automorphism,
     BadTower,
     GroupDescriptor,
+    GroupElement,
     IncompatibleWedge,
     InfiniteGroup,
     Subgroup,
+    TraditionalityResult,
     UnsupportedProduct,
     WedgeSpec,
     WindowTooSmall,
+    build,
     discrete,
+    enumerate_finite,
+    is_traditional,
     named_automorphism,
     orbit_ring,
     quotient,
@@ -253,6 +258,43 @@ class TestWedge:
         assert frozenset({(2, 0), (2, 1)}) in classes  # embedded psi pair at z^2
         assert G.coset_of_torsion(1) in classes
         assert verify_axioms(P).ok
+
+
+class TestBuild:
+    def test_wedge_rebuilds_every_z4xz4_wedge_verdict(self):
+        # P's own restriction and quotient give P back; on 14 of these towers
+        # the overlap H/K was once compared in two coordinate systems that differ
+        G = GroupDescriptor(4, 4)
+        wedges = 0
+        for P in enumerate_finite(G):
+            result = is_traditional(P)
+            if result.kind == "wedge":
+                K, H = result.subgroups
+                assert wedge(WedgeSpec(H, K, restrict(P, H), quotient(P, K))) == P
+                wedges += 1
+        assert wedges == 241
+
+    def test_tensor_over_a_twisted_split(self):
+        # Z2 x Z2 = <z> x <za>: the product of two trivial rings is discrete
+        G = GroupDescriptor(2, 2)
+        split = (Subgroup.generated_by(G, [GroupElement(1, 0)]),
+                 Subgroup.generated_by(G, [GroupElement(1, 1)]))
+        recipe = TraditionalityResult(
+            "tensor", subgroups=split,
+            parts=(TraditionalityResult("trivial"), TraditionalityResult("trivial")))
+        assert build(G, recipe) == discrete(G)
+
+    def test_tensor_needs_a_split(self):
+        G = GroupDescriptor(2, 2)
+        a = Subgroup.torsion(G)
+        trivial_part = TraditionalityResult("trivial")
+        with pytest.raises(UnsupportedProduct):
+            build(G, TraditionalityResult("tensor", subgroups=(a, a),
+                                          parts=(trivial_part, trivial_part)))
+
+    def test_no_builds_nothing(self, Z3):
+        with pytest.raises(ValueError):
+            build(Z3, TraditionalityResult("no"))
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,14 +7,16 @@ import pytest
 from sring import (
     BoundExceeded,
     GroupDescriptor,
+    GroupElement,
     InfiniteGroup,
+    Subgroup,
+    build,
     class_stabilizer,
     discrete,
     enumerate_finite,
     enumerate_windowed,
     is_traditional,
     orbit_ring,
-    quotient,
     restrict,
     standard_wedge,
     trivial,
@@ -21,6 +24,7 @@ from sring import (
     verify_wielandt,
 )
 from sring.cli import parse_group
+from sring.constructions import _direct_product
 from sring.enumeration import MAX_WINDOW, _level_candidates, _set_partitions, _star_pairs
 from sring.groups import close_automorphisms
 from sring.schur import star
@@ -351,7 +355,7 @@ class TestIsTraditional:
         assert verify_axioms(P).ok
         result = is_traditional(P)
         assert result.kind == "wedge"
-        K, H = result.tower
+        K, H = result.subgroups
         assert K.order == 3 and H.order == 3
 
     @pytest.mark.parametrize("n", [*range(2, 11), 17, 18, 19, 20])
@@ -369,13 +373,44 @@ class TestIsTraditional:
         for P in enumerate_finite(G):
             result = is_traditional(P)
             results.append((result.kind, [phi.to_json() for phi in result.generators]))
-            if result.kind == "orbit":
-                assert orbit_ring(G, result.generators).classes == P.classes
-            if result.kind == "wedge":
-                K, H = result.tower
-                assert verify_axioms(restrict(P, H)).ok
-                assert verify_axioms(quotient(P, K)).ok
+            if result:
+                assert build(G, result) == P
         assert results == TRADITIONALITY[spec]
+
+    @pytest.mark.parametrize("spec,kinds", [
+        pytest.param((2, 8), {"trivial": 1, "orbit": 16, "wedge": 134, "tensor": 10, "no": 2},
+                     id="Z2xZ8"),
+        pytest.param((4, 4), {"trivial": 1, "orbit": 32, "wedge": 241, "tensor": 63, "no": 200},
+                     id="Z4xZ4"),
+        pytest.param((3, 6), {"trivial": 1, "orbit": 15, "wedge": 146, "tensor": 126, "no": 9},
+                     id="Z3xZ6"),
+    ])
+    def test_every_yes_rebuilds(self, spec, kinds):
+        G = GroupDescriptor(*spec)
+        seen = Counter()
+        for P in enumerate_finite(G, bound=64):
+            result = is_traditional(P)
+            seen[result.kind] += 1
+            if result:
+                assert build(G, result) == P
+        assert seen == kinds
+
+    def test_tensor_factors_are_traditional(self):
+        # These Z3xZ6 rings split as <a^3> x <z, a^2>, and their Z3xZ3 factor
+        # is one of the three "no" verdicts over Z3xZ3, all of them false:
+        # the parametric Automorphism family misses automorphisms there.  So
+        # they are "no" as well, until that family covers all of Aut(G).
+        G = GroupDescriptor(3, 6)
+        K = Subgroup.generated_by(G, [GroupElement(0, 3)])
+        H = Subgroup.generated_by(G, [GroupElement(1, 0), GroupElement(0, 2)])
+        false_no = {P.classes for P in enumerate_finite(GroupDescriptor(3, 3))
+                    if not is_traditional(P)}
+        rings = enumerate_finite(G, bound=64)
+        for index in (247, 260, 262):
+            P = rings[index]
+            assert _direct_product(K, H, restrict(P, K), restrict(P, H)) == P
+            assert restrict(P, H).classes in false_no
+            assert is_traditional(P).kind == "no"
 
     def test_orbit_generators_generate_the_class_stabilizer(self):
         G = GroupDescriptor(3, 3)

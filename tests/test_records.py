@@ -56,11 +56,14 @@ RECORDS = [
      "FamilyDescriptor(variant='orbit', symmetric=False, generators=(Automorphism(group="
      "GroupDescriptor(free_order=0, torsion_order=3), twist=1, unit=1, torsion_unit=2),), "
      "tower_step=0, inner=None, outer=None, confidence_window=12)"),
-    (TraditionalityResult("wedge", tower=(H, H)),
-     "TraditionalityResult(kind='wedge', generators=(), split=None, tower=(Subgroup(group="
+    (TraditionalityResult("wedge", subgroups=(H, H),
+                          parts=(TraditionalityResult("trivial"), TraditionalityResult("orbit"))),
+     "TraditionalityResult(kind='wedge', generators=(), subgroups=(Subgroup(group="
      "GroupDescriptor(free_order=2, torsion_order=3), free_step=2, twist=0, torsion_step=1), "
      "Subgroup(group=GroupDescriptor(free_order=2, torsion_order=3), free_step=2, twist=0, "
-     "torsion_step=1)))"),
+     "torsion_step=1)), parts=(TraditionalityResult(kind='trivial', generators=(), "
+     "subgroups=None, parts=None), TraditionalityResult(kind='orbit', generators=(), "
+     "subgroups=None, parts=None)))"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 

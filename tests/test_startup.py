@@ -21,8 +21,8 @@ W3 = json.dumps(discrete(GroupDescriptor(0, 3), 3).to_json())
 # home submodule -> the names ``sring`` exports from it
 PUBLIC = {
     "classify": ["FamilyDescriptor", "classify", "find_H", "projection_type", "resynthesize"],
-    "constructions": ["WedgeSpec", "discrete", "orbit_ring", "standard_wedge", "symmetric",
-                      "tensor", "trivial", "wedge"],
+    "constructions": ["WedgeSpec", "build", "discrete", "orbit_ring", "standard_wedge",
+                      "symmetric", "tensor", "trivial", "wedge"],
     "enumeration": ["TraditionalityResult", "enumerate_finite", "enumerate_windowed",
                     "is_traditional"],
     "errors": ["BadPrime", "BadTower", "BoundExceeded", "IncompatibleWedge", "InfiniteGroup",
@@ -49,7 +49,7 @@ COMMANDS = {
     "classify": (["classify", "-"], W3, {"sring.classify", "sring.constructions"}),
     "check-lemmas": (["check-lemmas", "-"], W3,
                      {"sring.classify", "sring.constructions", "sring.group_ring"}),
-    "enumerate": (["enumerate", "--group", "Z3"], "", {"sring.enumeration"}),
+    "enumerate": (["enumerate", "--group", "Z3"], "", {"sring.constructions", "sring.enumeration"}),
 }
 
 
@@ -127,7 +127,7 @@ print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
     proc = python("-c", script, json.dumps(PUBLIC))
     assert proc.returncode == 0, proc.stderr
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 66
+    assert len(names) == 67
     assert json.loads(proc.stdout) == names
 
 
