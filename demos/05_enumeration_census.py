@@ -9,9 +9,11 @@ from collections import Counter
 from sring import (
     GroupDescriptor,
     classify,
+    describe_recipe,
     enumerate_finite,
     enumerate_windowed,
     is_traditional,
+    recipe_to_json,
 )
 
 print("census over small cyclic groups:")
@@ -24,10 +26,10 @@ print()
 print("window census over Z x Z_3:")
 for window in (3, 4):
     out = enumerate_windowed(window)
-    variants = Counter(classify(P).variant for P in out)
+    variants = Counter(recipe_to_json(classify(P), window)["variant"] for P in out)
     print(f"   window {window}: {len(out)} partitions, all classified: {dict(sorted(variants.items()))}")
 
 print()
 print("symmetric-projection slice at window 3:")
 for P in enumerate_windowed(3, projection="symmetric")[:5]:
-    print("   ", classify(P).describe())
+    print("   ", describe_recipe(classify(P)))

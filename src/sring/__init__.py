@@ -18,14 +18,15 @@ __version__ = "0.1.0"
 
 # home submodule -> the names the package exports from it
 _HOMES = {
-    "classify": ("FamilyDescriptor", "classify", "find_H", "projection_type", "resynthesize"),
+    "classify": (
+        "classify", "describe_recipe", "find_H", "projection_type", "recipe_from_json",
+        "recipe_to_json", "resynthesize",
+    ),
     "constructions": (
-        "WedgeSpec", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric",
+        "Recipe", "WedgeSpec", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric",
         "tensor", "trivial", "wedge",
     ),
-    "enumeration": (
-        "TraditionalityResult", "enumerate_finite", "enumerate_windowed", "is_traditional",
-    ),
+    "enumeration": ("enumerate_finite", "enumerate_windowed", "is_traditional"),
     "errors": (
         "BadPrime", "BadTower", "BoundExceeded", "IncompatibleWedge", "InfiniteGroup",
         "InvalidAutomorphism", "InvalidCoeffFn", "MalformedPartition", "NotInSpan", "NotSSet",

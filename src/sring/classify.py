@@ -6,23 +6,24 @@ discrete or symmetric.  The first level d whose class is not a union of
 torsion cosets then picks one of three cases: none, a wedge over the torsion
 subgroup; d == 1, a full or orbit ring, read off the automorphisms that fix
 every class; d > 1, a wedge with middle subgroup <z^d> x <a> around a full or
-orbit ring.  Every answer is validated by re-synthesis: the descriptor must
-reproduce the input class-for-class on its window.
+orbit ring.  The answer is a :class:`~sring.constructions.Recipe`, validated
+by re-synthesis: :func:`~sring.constructions.build` must reproduce the input
+class-for-class on its window.  A family descriptor is the recipe in words
+(:func:`describe_recipe`) or in JSON (:func:`recipe_to_json`).
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .constructions import discrete, orbit_ring, standard_wedge, symmetric
-from .errors import Unclassifiable, UnrecognizedQuotient, WindowTooSmall
+from .constructions import Recipe, build, standard_part, torsion_tower
+from .errors import IncompatibleWedge, Unclassifiable, UnrecognizedQuotient, WindowTooSmall
 from .groups import (
     Automorphism,
     GroupDescriptor,
     GroupElement,
-    Record,
+    QuotientMap,
     Subgroup,
-    _setattr,
     automorphism_from_json,
     canonical_generators,
     json_field,
@@ -47,94 +48,6 @@ SYMMETRIC = "symmetric"
 TRIVIAL = "trivial"
 
 MIN_CLASSIFY_WINDOW = 3
-
-
-class FamilyDescriptor(Record):
-    """Which family a presentation belongs to, with enough data to rebuild it.
-
-    variant "full" is the whole group ring (symmetric flag distinguishes the
-    inversion-orbit alias), "orbit" carries canonical automorphism
-    generators, and "wedge" carries the tower over the torsion kernel: the
-    middle subgroup <z^tower_step> x <a> (tower_step == 0 meaning the torsion
-    subgroup itself), the inner description (a leaf kind over the torsion
-    subgroup, or a nested descriptor when the middle subgroup is infinite)
-    and the outer kind over the free quotient.
-    """
-
-    __slots__ = (
-        "variant", "symmetric", "generators", "tower_step", "inner", "outer", "confidence_window"
-    )
-
-    def __init__(
-        self,
-        variant: str,
-        symmetric: bool = False,
-        generators: tuple[Automorphism, ...] = (),
-        tower_step: int = 0,
-        inner: FamilyDescriptor | str | None = None,
-        outer: str | None = None,
-        confidence_window: int = 0,
-    ) -> None:
-        _setattr(self, "variant", variant)
-        _setattr(self, "symmetric", symmetric)
-        _setattr(self, "generators", generators)
-        _setattr(self, "tower_step", tower_step)
-        _setattr(self, "inner", inner)
-        _setattr(self, "outer", outer)
-        _setattr(self, "confidence_window", confidence_window)
-
-    def to_json(self) -> dict:
-        data: dict = {"variant": self.variant, "window": self.confidence_window}
-        if self.variant == "full":
-            data["symmetric"] = self.symmetric
-        elif self.variant == "orbit":
-            data["generators"] = [phi.to_json() for phi in self.generators]
-        elif self.variant == "wedge":
-            data["tower"] = {"K": 0, "H": self.tower_step}
-            data["inner"] = (
-                self.inner.to_json()
-                if isinstance(self.inner, FamilyDescriptor)
-                else self.inner
-            )
-            data["outer"] = self.outer
-        return data
-
-    @classmethod
-    def from_json(cls, data) -> "FamilyDescriptor":
-        data = json_value(data, dict, "family descriptor")
-        variant = json_field(data, "variant", str)
-        window = json_field(data, "window", int, 0)
-        if variant == "full":
-            return cls("full", symmetric=json_field(data, "symmetric", bool, False),
-                       confidence_window=window)
-        if variant == "orbit":
-            gens = tuple(
-                automorphism_from_json(g, Z_CROSS_Z3)
-                for g in json_field(data, "generators", list, [])
-            )
-            return cls("orbit", generators=gens, confidence_window=window)
-        if variant == "wedge":
-            inner = data.get("inner")
-            return cls(
-                "wedge",
-                tower_step=json_field(json_field(data, "tower", dict, {}), "H", int, 0),
-                inner=(cls.from_json(inner) if isinstance(inner, dict)
-                       else json_field(data, "inner", str)),
-                outer=json_field(data, "outer", str, DISCRETE),
-                confidence_window=window,
-            )
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def describe(self) -> str:
-        if self.variant == "full":
-            return "full group ring" + (" (symmetric)" if self.symmetric else "")
-        if self.variant == "orbit":
-            names = ", ".join(phi.name() or str(phi) for phi in self.generators)
-            return f"orbit ring <{names}>"
-        inner = (
-            self.inner.describe() if isinstance(self.inner, FamilyDescriptor) else self.inner
-        )
-        return f"wedge step {self.tower_step}: [{inner}] over [{self.outer}]"
 
 
 def _require_group(P: SchurPresentation) -> None:
@@ -197,18 +110,12 @@ def _is_full(c: frozenset) -> bool:
     return len(c) == len(shadow(c)) * Z_CROSS_Z3.torsion_order
 
 
-def _orbit_family(P: SchurPresentation) -> FamilyDescriptor:
+def _orbit_family(P: SchurPresentation) -> Recipe:
     """The full or orbit ring whose automorphisms fix every class of P."""
-    k_max = class_stabilizer(P)
-    gens = canonical_generators(k_max)
-    if not gens:
-        return FamilyDescriptor("full", symmetric=False)
-    if len(k_max) == 2 and gens[0] == Automorphism.inversion(P.group):
-        return FamilyDescriptor("full", symmetric=True)
-    return FamilyDescriptor("orbit", generators=gens)
+    return Recipe("orbit", generators=canonical_generators(class_stabilizer(P)))
 
 
-def _classify_core(P: SchurPresentation, mode: str) -> FamilyDescriptor:
+def _classify_core(P: SchurPresentation, mode: str) -> Recipe:
     """The three cases of the structure theorem, told apart by the first level
     d whose class is not full (not a union of torsion cosets).
 
@@ -218,37 +125,40 @@ def _classify_core(P: SchurPresentation, mode: str) -> FamilyDescriptor:
     level d of P, so the inner ring is a full or orbit ring in turn.
     """
     partial = [k for k in range(1, P.window + 1) if not _is_full(P.class_of(GroupElement(k, 0)))]
-    if not partial:
-        torsion_class = P.class_of(GroupElement(0, 1))
-        if torsion_class == frozenset({GroupElement(0, 1)}):
-            inner = DISCRETE
-        elif torsion_class == frozenset({GroupElement(0, 1), GroupElement(0, 2)}):
-            inner = TRIVIAL
-        else:
-            raise Unclassifiable("torsion classes match no Schur ring over Z_3")
-        return FamilyDescriptor("wedge", tower_step=0, inner=inner, outer=mode)
-
-    d = partial[0]
+    d = partial[0] if partial else 0
     if d == 1:
         return _orbit_family(P)
-    stray = next((k for k in partial if k % d), None)
-    if stray is not None:
-        raise Unclassifiable(f"level {stray} degenerates outside the tower of step {d}")
-    middle = Subgroup.free_power_with_torsion(P.group, d)
-    if not is_ssubgroup(P, middle):
-        raise Unclassifiable(f"the middle subgroup {middle} is split by a class")
-    return FamilyDescriptor("wedge", tower_step=d, inner=_orbit_family(restrict(P, middle)),
-                            outer=mode)
+    K, H = torsion_tower(P.group, d)
+    if not d:
+        torsion_class = P.class_of(GroupElement(0, 1))
+        if torsion_class == frozenset({GroupElement(0, 1)}):
+            kind = DISCRETE
+        elif torsion_class == frozenset({GroupElement(0, 1), GroupElement(0, 2)}):
+            kind = TRIVIAL
+        else:
+            raise Unclassifiable("torsion classes match no Schur ring over Z_3")
+        inner = standard_part(kind, H.as_group()[0], "inner")
+    else:
+        stray = next((k for k in partial if k % d), None)
+        if stray is not None:
+            raise Unclassifiable(f"level {stray} degenerates outside the tower of step {d}")
+        if not is_ssubgroup(P, H):
+            raise Unclassifiable(f"the middle subgroup {H} is split by a class")
+        inner = _orbit_family(restrict(P, H))
+    outer = standard_part(mode, QuotientMap(P.group, K).descriptor, "outer")
+    return Recipe("wedge", subgroups=(K, H), parts=(inner, outer))
 
 
-def classify(P: SchurPresentation) -> FamilyDescriptor:
+def classify(P: SchurPresentation) -> Recipe:
     """Identify the family of a verified presentation over Z x Z_3.
 
-    Returns a descriptor whose re-synthesis reproduces P class-for-class on
-    the window, raising Unclassifiable otherwise (which, for genuinely
-    verified inputs, the structure theorem rules out).  A partition with a
-    gap or an overlap raises MalformedPartition.  Windows below 3 are
-    rejected; 12 is the recommended minimum for full-confidence answers.
+    Returns the recipe whose re-synthesis reproduces P class-for-class on the
+    window, raising Unclassifiable otherwise (which, for genuinely verified
+    inputs, the structure theorem rules out): an orbit recipe, with no
+    generators for the full ring, or a wedge over the torsion subgroup.  A
+    partition with a gap or an overlap raises MalformedPartition.  Windows
+    below 3 are rejected; 12 is the recommended minimum for full-confidence
+    answers.
     """
     check_partition(P)
     _require_group(P)
@@ -260,32 +170,118 @@ def classify(P: SchurPresentation) -> FamilyDescriptor:
     ok, msg = class_shape_holds(P)
     if not ok:
         raise Unclassifiable(f"class-shape dichotomy fails: {msg}")
-    d = _classify_core(P, mode)
-    descriptor = FamilyDescriptor(
-        d.variant, d.symmetric, d.generators, d.tower_step, d.inner, d.outer, P.window
-    )
+    recipe = _classify_core(P, mode)
     ok, msg = power_in_subgroup_holds(P, find_H(P))
     if not ok:
         raise Unclassifiable(f"small-class power rule fails: {msg}")
-    rebuilt = resynthesize(descriptor, P.window)
-    if rebuilt.classes != P.classes:
+    if resynthesize(recipe, P.window).classes != P.classes:
         raise Unclassifiable(
-            f"descriptor {descriptor.describe()} does not reproduce the presentation"
+            f"descriptor {describe_recipe(recipe)} does not reproduce the presentation"
         )
-    return descriptor
+    return recipe
 
 
-def resynthesize(d: FamilyDescriptor, window: int) -> SchurPresentation:
-    """Rebuild the presentation a descriptor denotes, at the given window."""
+def resynthesize(recipe: Recipe, window: int) -> SchurPresentation:
+    """Rebuild the presentation a recipe over Z x Z_3 denotes, at the given window."""
+    return build(Z_CROSS_Z3, recipe, window)
+
+
+# -- family descriptors: a recipe over Z x Z_3 in words and in JSON -------------
+
+
+def _is_symmetric(recipe: Recipe) -> bool:
+    """Whether an orbit recipe is the inversion alone, the symmetric full ring."""
+    gens = recipe.generators
+    return len(gens) == 1 and gens[0] == Automorphism.inversion(gens[0].group)
+
+
+def _kind_name(part: Recipe) -> str:
+    """The kind that names a part of a wedge, as :func:`standard_part` reads it."""
+    if part.kind == "trivial":
+        return TRIVIAL
+    if part.kind == "orbit" and not part.generators:
+        return DISCRETE
+    if part.kind == "orbit" and _is_symmetric(part):
+        return SYMMETRIC
+    raise ValueError(f"a {part.kind!r} part has no kind name")
+
+
+def _wedge_step(recipe: Recipe) -> int:
+    """The step of a wedge over the torsion kernel of Z x Z_3; ValueError for
+    a recipe that is no such wedge (nor a full or orbit ring)."""
+    if recipe.kind == "wedge":
+        K, H = recipe.subgroups
+        if H.group.is_infinite and (K, H) == torsion_tower(H.group, H.free_step):
+            return H.free_step
+    raise ValueError(f"a {recipe.kind!r} recipe is no family over Z x Z_3")
+
+
+def describe_recipe(recipe: Recipe) -> str:
+    """One line naming the family of a recipe over Z x Z_3."""
+    if recipe.kind == "orbit":
+        if not recipe.generators:
+            return "full group ring"
+        if _is_symmetric(recipe):
+            return "full group ring (symmetric)"
+        names = ", ".join(phi.name() or str(phi) for phi in recipe.generators)
+        return f"orbit ring <{names}>"
+    step, (inner, outer) = _wedge_step(recipe), recipe.parts
+    inner_text = describe_recipe(inner) if step else _kind_name(inner)
+    return f"wedge step {step}: [{inner_text}] over [{_kind_name(outer)}]"
+
+
+def recipe_to_json(recipe: Recipe, window: int) -> dict:
+    """The family descriptor of a recipe over Z x Z_3, certified on ``window``;
+    a nested inner ring is written with window 0."""
+    gens = recipe.generators
+    if recipe.kind == "orbit" and (not gens or _is_symmetric(recipe)):
+        return {"variant": "full", "window": window, "symmetric": bool(gens)}
+    if recipe.kind == "orbit":
+        return {"variant": "orbit", "window": window, "generators": [phi.to_json() for phi in gens]}
+    step, (inner, outer) = _wedge_step(recipe), recipe.parts
+    return {
+        "variant": "wedge",
+        "window": window,
+        "tower": {"K": 0, "H": step},
+        "inner": recipe_to_json(inner, 0) if step else _kind_name(inner),
+        "outer": _kind_name(outer),
+    }
+
+
+def recipe_from_json(data) -> Recipe:
+    """Read :func:`recipe_to_json` output as a recipe over Z x Z_3; ValueError
+    on any other shape.
+
+    The window is checked but not kept.  A wedge's inner ring is a kind
+    ("discrete" or "trivial") over the torsion subgroup at step 0, and a kind
+    ("discrete" or "symmetric") or a nested descriptor at a step of 2 or more,
+    over the middle subgroup <z^step> x <a>, which is Z x Z_3 again.
+    """
     G = Z_CROSS_Z3
-    if d.variant == "full":
-        return symmetric(G, window) if d.symmetric else discrete(G, window)
-    if d.variant == "orbit":
-        return orbit_ring(G, d.generators, window)
-    if d.variant == "wedge":
-        inner = d.inner
-        if isinstance(inner, FamilyDescriptor):
-            # a step below 2 leaves no room for a nested ring; standard_wedge refuses it
-            inner = resynthesize(inner, window // max(d.tower_step, 1))
-        return standard_wedge(G, d.tower_step, inner, d.outer, window)
-    raise ValueError(f"unknown variant {d.variant!r}")
+    data = json_value(data, dict, "family descriptor")
+    variant = json_field(data, "variant", str)
+    json_field(data, "window", int, 0)
+    if variant == "full":
+        symmetric = json_field(data, "symmetric", bool, False)
+        return Recipe("orbit", generators=(Automorphism.inversion(G),) if symmetric else ())
+    if variant == "orbit":
+        gens = json_field(data, "generators", list, [])
+        return Recipe("orbit", generators=tuple(automorphism_from_json(g, G) for g in gens))
+    if variant == "wedge":
+        tower = json_field(data, "tower", dict, {})
+        if json_field(tower, "K", int, 0) != 0:
+            raise ValueError(f"tower K must be 0, the torsion subgroup, got {tower['K']}")
+        step = json_field(tower, "H", int, 0)
+        K, H = torsion_tower(G, step)
+        h_desc = H.as_group()[0]
+        inner = data.get("inner")
+        if isinstance(inner, dict):
+            if not step:  # the middle subgroup is the torsion subgroup
+                raise IncompatibleWedge(f"inner presentation is over {G}, expected {h_desc}")
+            inner = recipe_from_json(inner)
+        else:
+            inner = standard_part(json_field(data, "inner", str), h_desc, "inner")
+        outer = json_field(data, "outer", str, DISCRETE)
+        outer = standard_part(outer, QuotientMap(G, K).descriptor, "outer")
+        return Recipe("wedge", subgroups=(K, H), parts=(inner, outer))
+    raise ValueError(f"unknown variant {variant!r}")

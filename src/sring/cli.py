@@ -178,20 +178,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .classify import classify, resynthesize
+    from .classify import classify, describe_recipe, recipe_to_json, resynthesize
 
     P = _read_presentation(args.presentation)
     try:
-        descriptor = classify(P)
+        recipe = classify(P)
     except (MalformedPartition, WindowTooSmall):
         raise
     except (SchurError, ValueError) as ex:  # a partition that fits no family
         raise Unclassifiable(str(ex)) from ex
     if args.resynthesize:
-        rebuilt = resynthesize(descriptor, P.window)
+        rebuilt = resynthesize(recipe, P.window)
         print(json.dumps(rebuilt.to_json(), sort_keys=True))
     else:
-        _emit(descriptor.to_json(), args.json, descriptor.describe())
+        _emit(recipe_to_json(recipe, P.window), args.json, describe_recipe(recipe))
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 Five constructors: discrete, trivial, orbit, tensor and wedge.  Each returns
 a :class:`~sring.schur.SchurPresentation`; windowed constructors only emit
 classes that fit entirely inside the window, so partition invariants always
-hold on the emitted presentation.
+hold on the emitted presentation.  A :class:`Recipe` names a traditional ring
+as a tree of these constructions, over a finite group or Z x Z_3 alike, and
+:func:`build` is the one builder that realizes it.
 """
 
 from __future__ import annotations
@@ -233,13 +235,47 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
     )
 
 
-def build(group: GroupDescriptor, recipe) -> SchurPresentation:
-    """The ring over the finite ``group`` that ``recipe`` names, a
-    :class:`~sring.enumeration.TraditionalityResult`; "no" raises ValueError."""
+class Recipe(Record):
+    """A recipe for a traditional ring, or "no"; :func:`build` realizes it.
+
+    ``kind`` is "trivial", "orbit", "tensor", "wedge" or "no".  An orbit
+    recipe carries the generators of its automorphism group; with none it is
+    the discrete ring.  A tensor carries the split (H, K) of G = H x K in
+    ``subgroups`` and a recipe for each factor in ``parts``, over
+    ``H.as_group()`` and ``K.as_group()``.  A wedge carries the tower (K, H)
+    and recipes for its inner ring over ``H.as_group()`` and its outer ring
+    over G/K.
+    """
+
+    __slots__ = ("kind", "generators", "subgroups", "parts")
+
+    def __init__(
+        self,
+        kind: str,
+        generators: tuple[Automorphism, ...] = (),
+        subgroups: tuple[Subgroup, Subgroup] | None = None,
+        parts: tuple[Recipe, Recipe] | None = None,
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "generators", generators)
+        _setattr(self, "subgroups", subgroups)
+        _setattr(self, "parts", parts)
+
+    def __bool__(self) -> bool:
+        return self.kind != "no"
+
+
+def build(group: GroupDescriptor, recipe: Recipe, window: int = 0) -> SchurPresentation:
+    """The ring over ``group`` that ``recipe`` names, on ``window`` when the
+    group is infinite; "no" raises ValueError.
+
+    A wedge builds its inner ring on window // step of a middle subgroup
+    <z^step> x ..., since that subgroup's level k is level k * step of G.
+    """
     if recipe.kind == "trivial":
         return trivial(group)
     if recipe.kind == "orbit":
-        return orbit_ring(group, recipe.generators)
+        return orbit_ring(group, recipe.generators, window)
     if recipe.kind == "tensor":
         (H, K), (left, right) = recipe.subgroups, recipe.parts
         HK = Subgroup.generated_by(group, H.generators() + K.generators())
@@ -248,29 +284,44 @@ def build(group: GroupDescriptor, recipe) -> SchurPresentation:
         return _direct_product(H, K, build(H.as_group()[0], left), build(K.as_group()[0], right))
     if recipe.kind == "wedge":
         (K, H), (inner, outer) = recipe.subgroups, recipe.parts
+        inner_window = window // H.free_step if H.order is None else window
         return wedge(WedgeSpec(
-            H, K, build(H.as_group()[0], inner), build(QuotientMap(group, K).descriptor, outer)
-        ))
+            H, K,
+            build(H.as_group()[0], inner, inner_window),
+            build(QuotientMap(group, K).descriptor, outer, window),
+        ), window)
     raise ValueError(f"a {recipe.kind!r} recipe builds no ring")
 
 
-# The presentations a standard wedge builds by name.  Over <a> (step 0) the
-# inner ring is discrete or trivial; over <z^step> x <a> it is discrete or
-# symmetric, like the outer ring over the free quotient.
-_KINDS = {
-    "discrete": discrete,
-    "symmetric": symmetric,
-    "trivial": lambda group, window: trivial(group),
-}
-_FREE_KINDS = ("discrete", "symmetric")
+def torsion_tower(group: GroupDescriptor, step: int) -> tuple[Subgroup, Subgroup]:
+    """The tower (K, H) of a wedge over the torsion kernel K = <a> of an
+    infinite group: H = <z^step> x <a>, or H = K at step 0."""
+    if step < 0:
+        raise BadTower(f"step must be 0 or at least 2, got {step}")
+    if step == 1:
+        raise BadTower("step 1 makes the middle subgroup the whole group")
+    K = Subgroup.torsion(group)
+    return K, Subgroup.free_power_with_torsion(group, step) if step else K
+
+
+def standard_part(kind: str, group: GroupDescriptor, role: str) -> Recipe:
+    """The recipe a part of a standard wedge names by kind over ``group``:
+    "discrete" or "symmetric" when it is infinite, "discrete" or "trivial"
+    when it is finite.  ``role`` ("inner" or "outer") names the part in the
+    error a wrong kind raises."""
+    if kind == "discrete":
+        return Recipe("orbit")
+    if group.is_infinite and kind == "symmetric":
+        return Recipe("orbit", generators=(Automorphism.inversion(group),))
+    if not group.is_infinite and kind == "trivial":
+        return Recipe("trivial")
+    if not group.is_infinite:
+        raise ValueError(f"{role} kind {kind!r} needs step >= 2")
+    raise ValueError(f"unknown {role} kind {kind!r}")
 
 
 def standard_wedge(
-    group: GroupDescriptor,
-    step: int,
-    inner: str | SchurPresentation,
-    outer_kind: str,
-    window: int,
+    group: GroupDescriptor, step: int, inner: str, outer_kind: str, window: int
 ) -> SchurPresentation:
     """Wedge over the torsion kernel with middle subgroup <z^step> x <a>.
 
@@ -278,28 +329,14 @@ def standard_wedge(
     ``inner`` may be "discrete" or "trivial"; for step >= 2 the inner
     presentation over <z^step> x <a> may be "discrete" or "symmetric".  The
     outer presentation over the free quotient is "discrete" or "symmetric".
-    ``inner`` may also be a presentation over ``H.as_group()`` of the middle
-    subgroup H, whose window must reach window // step.  An inner kind at a
-    step above the window raises WindowTooSmall, as its ring would have
-    window 0.
+    An inner kind at a step above the window raises WindowTooSmall, as its
+    ring would have window 0.
     """
     if not group.is_infinite:
         raise InfiniteGroup("standard wedges are built over the infinite group")
-    if step < 0:
-        raise BadTower(f"step must be 0 or at least 2, got {step}")
-    if step == 1:
-        raise BadTower("step 1 makes the middle subgroup the whole group")
-    K = Subgroup.torsion(group)
-    H = Subgroup.free_power_with_torsion(group, step) if step else K
-    if isinstance(inner, str):
-        if step == 0 and inner not in ("discrete", "trivial"):
-            raise ValueError(f"inner kind {inner!r} needs step >= 2")
-        if step and inner not in _FREE_KINDS:
-            raise ValueError(f"unknown inner kind {inner!r}")
-        if step > window:
-            raise WindowTooSmall(f"step {step} needs a window of at least {step}, got {window}")
-        inner = _KINDS[inner](H.as_group()[0], window // step if step else 0)
-    if outer_kind not in _FREE_KINDS:
-        raise ValueError(f"unknown outer kind {outer_kind!r}")
-    outer = _KINDS[outer_kind](QuotientMap(group, K).descriptor, window)
-    return wedge(WedgeSpec(H, K, inner, outer), window)
+    K, H = torsion_tower(group, step)
+    inner_part = standard_part(inner, H.as_group()[0], "inner")
+    if step > window:
+        raise WindowTooSmall(f"step {step} needs a window of at least {step}, got {window}")
+    outer_part = standard_part(outer_kind, QuotientMap(group, K).descriptor, "outer")
+    return build(group, Recipe("wedge", subgroups=(K, H), parts=(inner_part, outer_part)), window)

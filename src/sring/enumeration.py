@@ -12,14 +12,11 @@ from functools import cache, partial
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
-from .constructions import WedgeSpec, _direct_product, wedge
+from .constructions import Recipe, WedgeSpec, _direct_product, wedge
 from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
-    Automorphism,
     GroupDescriptor,
-    Record,
     Subgroup,
-    _setattr,
     all_subgroups,
     canonical_generators,
 )
@@ -141,37 +138,7 @@ def enumerate_finite(
 # -- traditionality -----------------------------------------------------------
 
 
-class TraditionalityResult(Record):
-    """A recipe for a traditional ring, or "no".
-
-    ``kind`` is "trivial", "orbit", "tensor", "wedge" or "no".  An orbit
-    recipe carries the generators of its automorphism group.  A tensor
-    carries the split (H, K) of G = H x K in ``subgroups`` and a recipe for
-    each factor in ``parts``, over ``H.as_group()`` and ``K.as_group()``.  A
-    wedge carries the tower (K, H) and recipes for its inner ring over
-    ``H.as_group()`` and its outer ring over G/K.
-    :func:`sring.constructions.build` realizes a recipe.
-    """
-
-    __slots__ = ("kind", "generators", "subgroups", "parts")
-
-    def __init__(
-        self,
-        kind: str,
-        generators: tuple[Automorphism, ...] = (),
-        subgroups: tuple[Subgroup, Subgroup] | None = None,
-        parts: tuple[TraditionalityResult, TraditionalityResult] | None = None,
-    ) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "generators", generators)
-        _setattr(self, "subgroups", subgroups)
-        _setattr(self, "parts", parts)
-
-    def __bool__(self) -> bool:
-        return self.kind != "no"
-
-
-def is_traditional(P: SchurPresentation) -> TraditionalityResult:
+def is_traditional(P: SchurPresentation) -> Recipe:
     """A recipe that :func:`~sring.constructions.build` turns back into P:
     the first of trivial, orbit, tensor and wedge that fits, else "no".
 
@@ -197,11 +164,11 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
 
     rest = frozenset(g for g in G.elements() if g != G.identity)
     if G.order >= 2 and set(P.classes) == {frozenset([G.identity]), rest}:
-        return TraditionalityResult("trivial")
+        return Recipe("trivial")
 
     S = class_stabilizer(P)
     if all(len({phi.apply(next(iter(c))) for phi in S}) == len(c) for c in P.classes):
-        return TraditionalityResult("orbit", generators=canonical_generators(S))
+        return Recipe("orbit", generators=canonical_generators(S))
 
     proper = [
         (H, h_elems)
@@ -231,8 +198,8 @@ def is_traditional(P: SchurPresentation) -> TraditionalityResult:
         if rebuilt == P:
             recipes = tuple(is_traditional(Q) for Q in parts)
             if all(recipes):
-                return TraditionalityResult(kind, subgroups=subgroups, parts=recipes)
-    return TraditionalityResult("no")
+                return Recipe(kind, subgroups=subgroups, parts=recipes)
+    return Recipe("no")
 
 
 # -- windowed enumeration over Z x Z_3 ----------------------------------------

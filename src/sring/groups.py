@@ -274,9 +274,6 @@ class Automorphism(Record):
             self.twist * g.z_exp + self.torsion_unit * g.a_exp,
         )
 
-    def __call__(self, g: GroupElement) -> GroupElement:
-        return self.apply(g)
-
     def apply_set(self, elems: Iterable[GroupElement]) -> frozenset[GroupElement]:
         return frozenset(self.apply(g) for g in elems)
 

@@ -43,8 +43,6 @@ if TYPE_CHECKING:
 
     from .group_ring import RingElement
 
-BasicSet = frozenset
-
 
 def _class_key(cls: frozenset) -> tuple:
     return tuple(sorted(cls))

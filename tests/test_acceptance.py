@@ -13,9 +13,10 @@ from functools import lru_cache
 import pytest
 
 from sring import (
-    FamilyDescriptor,
+    Automorphism,
     GroupDescriptor,
     MalformedPartition,
+    Recipe,
     RingElement,
     SchurPresentation,
     classify,
@@ -36,7 +37,7 @@ from sring import (
     verify_axioms,
     verify_wielandt,
 )
-from sring.constructions import IncompatibleWedge
+from sring.constructions import IncompatibleWedge, torsion_tower
 from sring.enumeration import MAX_WINDOW
 from sring.schur import (
     class_shape_holds,
@@ -226,12 +227,15 @@ def _windowed(window: int) -> tuple:
 # The Schur rings over Z x Z_3 whose class of z is not a union of torsion
 # cosets: the full ring, its symmetric alias, and the orbit rings.
 LEVEL_ONE = (
-    FamilyDescriptor("full"),
-    FamilyDescriptor("full", symmetric=True),
-    *(FamilyDescriptor("orbit", generators=tuple(AUTOS[name] for name in names))
+    Recipe("orbit"),
+    Recipe("orbit", (Automorphism.inversion(G),)),
+    *(Recipe("orbit", tuple(AUTOS[name] for name in names))
       for names in (("tau",), ("delta",), ("psi",), ("zeta",), ("sigma",), ("rho",),
                     ("delta", "xi"), ("psi", "xi"), ("xi", "zeta"))),
 )
+# the rings over the torsion subgroup Z_3, and over the free quotient Z
+TORSION_RINGS = {"discrete": Recipe("orbit"), "trivial": Recipe("trivial")}
+FREE_RINGS = {"discrete": Recipe("orbit"), "symmetric": Recipe("orbit", (Automorphism.inversion(Z),))}
 
 
 class TestCriterion4DeskScaleExhaustiveness:
@@ -240,12 +244,11 @@ class TestCriterion4DeskScaleExhaustiveness:
         # every ring is one of the 11 level-one rings, one of the 4 wedges over
         # the torsion subgroup, or a wedge with middle subgroup <z^s> x <a>
         # (s = 2..window) around a level-one ring: 11 + 4 + 11 (window - 1)
-        torsion_wedges = [FamilyDescriptor("wedge", tower_step=0, inner=inner, outer=outer)
-                          for inner in ("discrete", "trivial")
-                          for outer in ("discrete", "symmetric")]
+        torsion_wedges = [Recipe("wedge", subgroups=torsion_tower(G, 0), parts=(inner, outer))
+                          for inner in TORSION_RINGS.values() for outer in FREE_RINGS.values()]
         tower_wedges = [
-            FamilyDescriptor("wedge", tower_step=step, inner=d,
-                             outer=projection_type(resynthesize(d, 1)))
+            Recipe("wedge", subgroups=torsion_tower(G, step),
+                   parts=(d, FREE_RINGS[projection_type(resynthesize(d, 1))]))
             for d in LEVEL_ONE for step in range(2, window + 1)
         ]
         expected = [resynthesize(d, window).classes

@@ -1,22 +1,33 @@
+import io
+import json
+from pathlib import Path
+
 import pytest
 
 from sring import (
-    FamilyDescriptor,
+    Automorphism,
+    BadTower,
     GroupDescriptor,
     GroupElement,
+    IncompatibleWedge,
     MalformedPartition,
+    Recipe,
     SchurError,
     Subgroup,
     Unclassifiable,
     UnrecognizedQuotient,
     WedgeSpec,
     WindowTooSmall,
+    build,
     classify,
+    describe_recipe,
     discrete,
     find_H,
     named_automorphism,
     orbit_ring,
     projection_type,
+    recipe_from_json,
+    recipe_to_json,
     resynthesize,
     standard_wedge,
     symmetric,
@@ -25,8 +36,14 @@ from sring import (
     wedge,
     SchurPresentation,
 )
+from sring.cli import run
+from sring.constructions import torsion_tower
 from sring.enumeration import enumerate_windowed
 from sring.schur import quotient, torsion_is_ssubgroup
+
+# [human line, --json line] of `sring classify` for each ring of
+# enumerate_windowed(12), in its order
+CLASSIFY_GOLDEN = json.loads((Path(__file__).parent / "classify_golden.json").read_text())
 
 
 class TestFindH:
@@ -147,17 +164,19 @@ class TestClassifyNamedFamilies:
     def test_single_generator_orbits(self, G, autos, name):
         P = orbit_ring(G, [autos[name]], 12)
         d = classify(P)
-        assert d.variant == "orbit"
+        assert d.kind == "orbit"
         assert tuple(phi.name() for phi in d.generators) == (name,)
-        assert d.confidence_window == 12
+        assert describe_recipe(d) == f"orbit ring <{name}>"
 
     def test_xi_reports_as_symmetric_full_ring(self, G, autos):
         d = classify(orbit_ring(G, [autos["xi"]], 12))
-        assert d.variant == "full" and d.symmetric
+        assert d == Recipe("orbit", (Automorphism.inversion(G),))
+        assert describe_recipe(d) == "full group ring (symmetric)"
 
     def test_discrete_reports_as_full_ring(self, G):
         d = classify(discrete(G, 12))
-        assert d.variant == "full" and not d.symmetric
+        assert d == Recipe("orbit")
+        assert describe_recipe(d) == "full group ring"
 
     def test_klein_four_generators(self, G, autos):
         d1 = classify(orbit_ring(G, [autos["psi"], autos["xi"]], 12))
@@ -173,7 +192,7 @@ class TestClassifyNamedFamilies:
     def test_tensor_with_trivial_torsion(self, G, Z, Z3, autos):
         P = tensor(symmetric(Z, 12), trivial(Z3))
         d = classify(P)
-        assert d.variant == "orbit"
+        assert d.kind == "orbit"
         assert tuple(p.name() for p in d.generators) == ("xi", "zeta")
 
 
@@ -183,20 +202,24 @@ class TestClassifyWedges:
     def test_torsion_tower(self, G, inner, outer):
         P = standard_wedge(G, 0, inner, outer, 12)
         d = classify(P)
-        assert d.variant == "wedge" and d.tower_step == 0
-        assert d.inner == inner and d.outer == outer
+        assert d.kind == "wedge" and d.subgroups == torsion_tower(G, 0)
+        data = recipe_to_json(d, 12)
+        assert data["inner"] == inner and data["outer"] == outer
+        assert d.parts[0] == (Recipe("trivial") if inner == "trivial" else Recipe("orbit"))
 
     @pytest.mark.parametrize("step", [2, 3])
-    def test_free_towers(self, G, step):
+    def test_free_towers(self, G, Z, step):
         P = standard_wedge(G, step, "discrete", "discrete", 12)
         d = classify(P)
-        assert d.tower_step == step
-        assert isinstance(d.inner, FamilyDescriptor)
-        assert d.inner.variant == "full" and not d.inner.symmetric
+        assert d.subgroups == torsion_tower(G, step)
+        assert d.parts == (Recipe("orbit"), Recipe("orbit"))
         Psym = standard_wedge(G, step, "symmetric", "symmetric", 12)
         dsym = classify(Psym)
-        assert dsym.inner.variant == "full" and dsym.inner.symmetric
-        assert dsym.outer == "symmetric"
+        h_desc = d.subgroups[1].as_group()[0]
+        assert dsym.parts == (Recipe("orbit", (Automorphism.inversion(h_desc),)),
+                              Recipe("orbit", (Automorphism.inversion(Z),)))
+        assert describe_recipe(dsym) == (
+            f"wedge step {step}: [full group ring (symmetric)] over [symmetric]")
 
     def test_recursive_inner_orbit(self, G):
         H = Subgroup.free_power_with_torsion(G, 2)
@@ -207,9 +230,9 @@ class TestClassifyWedges:
             12,
         )
         d = classify(P)
-        assert d.variant == "wedge" and d.tower_step == 2
-        assert d.inner.variant == "orbit"
-        assert d.inner.generators[0].name() == "psi"
+        assert d.kind == "wedge" and d.subgroups == torsion_tower(G, 2)
+        assert d.parts[0].kind == "orbit"
+        assert d.parts[0].generators[0].name() == "psi"
 
     def test_nested_tower_flattens(self, G):
         # a step-2 wedge whose inner is itself a step-2 torsion wedge has its
@@ -222,7 +245,7 @@ class TestClassifyWedges:
             12,
         )
         d = classify(P)
-        assert d.tower_step == 4 and d.inner.variant == "full"
+        assert d.subgroups == torsion_tower(G, 4) and d.parts[0] == Recipe("orbit")
         assert resynthesize(d, 12).classes == P.classes
 
 
@@ -248,11 +271,11 @@ class TestRoundTrip:
 
     def test_dispatch_examples(self, G, autos):
         assert (
-            resynthesize(FamilyDescriptor("orbit", generators=(autos["psi"],)), 6).classes
+            resynthesize(Recipe("orbit", (autos["psi"],)), 6).classes
             == orbit_ring(G, [autos["psi"]], 6).classes
         )
         assert (
-            resynthesize(FamilyDescriptor("full", symmetric=True), 6).classes
+            resynthesize(recipe_from_json({"variant": "full", "symmetric": True}), 6).classes
             == orbit_ring(G, [autos["xi"]], 6).classes
         )
 
@@ -294,42 +317,73 @@ class TestGuards:
 class TestResynthesizeDescriptors:
     def test_kind_inner_at_a_free_step(self, G):
         # a hand-written descriptor may name the inner ring by kind
-        d = FamilyDescriptor.from_json(
+        d = recipe_from_json(
             {"variant": "wedge", "tower": {"K": 0, "H": 2}, "inner": "discrete",
              "outer": "discrete"}
         )
         assert resynthesize(d, 12) == standard_wedge(G, 2, "discrete", "discrete", 12)
 
-    @pytest.mark.parametrize("step", [-2, 0, 1])
-    def test_nested_inner_below_step_two_is_refused(self, step):
+    @pytest.mark.parametrize("inner", [
+        {"variant": "full"},
+        {"variant": "full", "symmetric": True},
+        {"variant": "orbit", "generators": ["psi"]},
+        {"variant": "wedge", "tower": {"K": 0, "H": 2}, "inner": "discrete", "outer": "discrete"},
+    ], ids=["full", "symmetric", "orbit", "wedge"])
+    @pytest.mark.parametrize("step,error,message", [
+        (-2, BadTower, "step must be 0 or at least 2, got -2"),
+        (0, IncompatibleWedge, None),
+        (1, BadTower, "step 1 makes the middle subgroup the whole group"),
+    ], ids=["-2", "0", "1"])
+    def test_nested_inner_below_step_two_is_refused(self, inner, step, error, message):
         # a ring over Z x Z_3 fits no middle subgroup of step 0, and steps
         # 1 and -2 are no towers
-        d = FamilyDescriptor("wedge", tower_step=step, inner=FamilyDescriptor("full"),
-                             outer="discrete")
-        with pytest.raises(SchurError):
-            resynthesize(d, 12)
+        data = {"variant": "wedge", "tower": {"K": 0, "H": step}, "inner": inner,
+                "outer": "discrete"}
+        with pytest.raises(SchurError) as info:
+            resynthesize(recipe_from_json(data), 12)
+        assert type(info.value) is error
+        assert message is None or str(info.value) == message
 
 
 class TestDescriptorJson:
     def test_orbit_json(self, G, autos):
         d = classify(orbit_ring(G, [autos["psi"], autos["xi"]], 12))
-        data = d.to_json()
+        data = recipe_to_json(d, 12)
         assert data["variant"] == "orbit" and data["generators"] == ["psi", "xi"]
-        assert FamilyDescriptor.from_json(data) == d
+        assert recipe_from_json(data) == d
 
     def test_wedge_json_nested(self, G):
         P = standard_wedge(G, 2, "discrete", "discrete", 12)
         d = classify(P)
-        data = d.to_json()
+        data = recipe_to_json(d, 12)
         assert data["tower"] == {"K": 0, "H": 2}
-        assert data["inner"]["variant"] == "full"
-        assert FamilyDescriptor.from_json(data) == d
+        assert data["inner"] == {"variant": "full", "symmetric": False, "window": 0}
+        assert recipe_from_json(data) == d
 
     def test_full_json(self, G):
         d = classify(discrete(G, 12))
-        data = d.to_json()
+        data = recipe_to_json(d, 12)
         assert data == {"variant": "full", "symmetric": False, "window": 12}
-        assert FamilyDescriptor.from_json(data) == d
+        assert recipe_from_json(data) == d
+
+    def test_only_families_over_z_x_z3_are_written(self, G):
+        orbit_outer = Recipe("orbit", (named_automorphism("psi", G),))
+        K, H = torsion_tower(G, 2)
+        Z2xZ2 = GroupDescriptor(2, 2)
+        a = Subgroup.torsion(Z2xZ2)
+        no_families = [
+            Recipe("trivial"),
+            Recipe("no"),
+            Recipe("tensor", subgroups=(a, a), parts=(Recipe("trivial"), Recipe("trivial"))),
+            Recipe("wedge", subgroups=(a, a), parts=(Recipe("trivial"), Recipe("orbit"))),
+            Recipe("wedge", subgroups=(H, H), parts=(Recipe("orbit"), Recipe("orbit"))),
+            Recipe("wedge", subgroups=(K, H), parts=(Recipe("orbit"), orbit_outer)),
+        ]
+        for recipe in no_families:
+            with pytest.raises(ValueError):
+                recipe_to_json(recipe, 12)
+            with pytest.raises(ValueError):
+                describe_recipe(recipe)
 
     @pytest.mark.parametrize(
         "data",
@@ -341,14 +395,44 @@ class TestDescriptorJson:
             {"variant": "full", "symmetric": 0},
             {"variant": "wedge", "tower": 2, "inner": "discrete", "outer": "discrete"},
             {"variant": "wedge", "tower": {"K": 0, "H": 2.0}, "inner": "discrete"},
+            {"variant": "wedge", "tower": {"K": 7, "H": 2}, "inner": "discrete",
+             "outer": "discrete"},
+            {"variant": "wedge", "tower": {"K": -1, "H": 0}, "inner": "discrete"},
+            {"variant": "wedge", "tower": {"K": "0", "H": 2}, "inner": "discrete"},
+            {"variant": "wedge", "tower": {"K": False, "H": 2}, "inner": "discrete"},
             {"window": 12},
             {"variant": 1},
             ["full"],
         ],
         ids=["window-bool", "window-float", "window-string", "symmetric-string",
-             "symmetric-int", "tower-int", "tower-step-float", "no-variant", "variant-int",
+             "symmetric-int", "tower-int", "tower-step-float", "tower-K-nonzero",
+             "tower-K-negative", "tower-K-string", "tower-K-bool", "no-variant", "variant-int",
              "array"],
     )
     def test_malformed_json_rejected(self, data):
         with pytest.raises(ValueError):
-            FamilyDescriptor.from_json(data)
+            recipe_from_json(data)
+
+
+class TestGolden:
+    def test_cli_lines_match_the_golden_file(self, capsys, monkeypatch):
+        # the human and --json lines of `sring classify` stay byte for byte
+        rings = enumerate_windowed(12)
+        assert len(rings) == len(CLASSIFY_GOLDEN) == 136
+        for P, expected in zip(rings, CLASSIFY_GOLDEN):
+            text = json.dumps(P.to_json())
+            lines = []
+            for flags in ([], ["--json"]):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                assert run([*flags, "classify", "-"]) == 0
+                lines.append(capsys.readouterr().out.rstrip("\n"))
+            assert lines == expected, P.describe()
+
+
+@pytest.mark.parametrize("window", range(3, 13))
+def test_every_windowed_ring_rebuilds_from_its_recipe(window):
+    G = GroupDescriptor(0, 3)
+    for P in enumerate_windowed(window):
+        recipe = classify(P)
+        assert build(G, recipe, P.window) == P, P.describe()
+        assert recipe_from_json(recipe_to_json(recipe, P.window)) == recipe, P.describe()

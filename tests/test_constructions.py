@@ -7,8 +7,8 @@ from sring import (
     GroupElement,
     IncompatibleWedge,
     InfiniteGroup,
+    Recipe,
     Subgroup,
-    TraditionalityResult,
     UnsupportedProduct,
     WedgeSpec,
     WindowTooSmall,
@@ -28,6 +28,7 @@ from sring import (
     verify_wielandt,
     wedge,
 )
+from sring.constructions import torsion_tower
 
 
 class TestDiscrete:
@@ -233,10 +234,21 @@ class TestWedge:
                                                  (2, "symmetric", "symmetric"),
                                                  (3, "discrete", "discrete")])
     def test_presentation_inner_matches_the_kind(self, G, step, kind, outer):
-        # the inner ring may be handed over built, over H.as_group()
+        # build realizes the recipe a kind names: the inner one over
+        # H.as_group(), the outer one over G/K = Z, the inner window window // step
         P = standard_wedge(G, step, kind, outer, 6)
-        H = Subgroup.free_power_with_torsion(G, step) if step else Subgroup.torsion(G)
-        assert standard_wedge(G, step, restrict(P, H), outer, 6) == P
+        K = Subgroup.torsion(G)
+        H = Subgroup.free_power_with_torsion(G, step) if step else K
+        Z = GroupDescriptor(0, 1)
+        recipes = {
+            "discrete": Recipe("orbit"),
+            "trivial": Recipe("trivial"),
+            "symmetric": Recipe("orbit", (Automorphism.inversion(H.as_group()[0]),)),
+        }
+        outer_recipe = Recipe("orbit", (Automorphism.inversion(Z),) if outer == "symmetric" else ())
+        recipe = Recipe("wedge", subgroups=(K, H), parts=(recipes[kind], outer_recipe))
+        assert build(G, recipe, 6) == P
+        assert restrict(P, H) == build(H.as_group()[0], recipes[kind], 6 // step if step else 0)
 
     def test_infinite_kernel_rejected(self, G):
         H = Subgroup.free_power_with_torsion(G, 2)
@@ -279,22 +291,48 @@ class TestBuild:
         G = GroupDescriptor(2, 2)
         split = (Subgroup.generated_by(G, [GroupElement(1, 0)]),
                  Subgroup.generated_by(G, [GroupElement(1, 1)]))
-        recipe = TraditionalityResult(
-            "tensor", subgroups=split,
-            parts=(TraditionalityResult("trivial"), TraditionalityResult("trivial")))
+        recipe = Recipe("tensor", subgroups=split, parts=(Recipe("trivial"), Recipe("trivial")))
         assert build(G, recipe) == discrete(G)
 
     def test_tensor_needs_a_split(self):
         G = GroupDescriptor(2, 2)
         a = Subgroup.torsion(G)
-        trivial_part = TraditionalityResult("trivial")
+        trivial_part = Recipe("trivial")
         with pytest.raises(UnsupportedProduct):
-            build(G, TraditionalityResult("tensor", subgroups=(a, a),
-                                          parts=(trivial_part, trivial_part)))
+            build(G, Recipe("tensor", subgroups=(a, a), parts=(trivial_part, trivial_part)))
 
     def test_no_builds_nothing(self, Z3):
         with pytest.raises(ValueError):
-            build(Z3, TraditionalityResult("no"))
+            build(Z3, Recipe("no"))
+
+    def test_orbit_recipe_takes_the_window(self, G, autos):
+        assert build(G, Recipe("orbit"), 5) == discrete(G, 5)
+        assert build(G, Recipe("orbit", (autos["psi"],)), 5) == orbit_ring(G, [autos["psi"]], 5)
+
+    def test_wedge_recipe_over_a_free_tower(self, G):
+        # level k of <z^3> x <a> is level 3k of G, so window 12 needs inner window 4
+        K, H = torsion_tower(G, 3)
+        h_desc = H.as_group()[0]
+        inner = Recipe("orbit", (named_automorphism("psi", h_desc),))
+        P = build(G, Recipe("wedge", subgroups=(K, H), parts=(inner, Recipe("orbit"))), 12)
+        built_inner = orbit_ring(h_desc, [named_automorphism("psi", h_desc)], 4)
+        outer = discrete(GroupDescriptor(0, 1), 12)
+        assert P == wedge(WedgeSpec(H, K, built_inner, outer), 12)
+        assert P.window == 12 and verify_axioms(P).ok
+
+    @pytest.mark.parametrize("step,message", [
+        (-2, "step must be 0 or at least 2, got -2"),
+        (1, "step 1 makes the middle subgroup the whole group"),
+    ])
+    def test_torsion_tower_refuses_no_tower(self, G, step, message):
+        with pytest.raises(BadTower) as info:
+            torsion_tower(G, step)
+        assert str(info.value) == message
+
+    def test_torsion_tower(self, G):
+        assert torsion_tower(G, 0) == (Subgroup.torsion(G), Subgroup.torsion(G))
+        assert torsion_tower(G, 4) == (Subgroup.torsion(G),
+                                       Subgroup.free_power_with_torsion(G, 4))
 
 
 class TestSweep:

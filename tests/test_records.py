@@ -14,15 +14,15 @@ import pytest
 from sring import (
     Automorphism,
     CoeffFn,
-    FamilyDescriptor,
     GroupDescriptor,
     GroupElement,
+    Recipe,
     Subgroup,
-    TraditionalityResult,
     VerificationReport,
     WedgeSpec,
     Witness,
     named_automorphism,
+    recipe_to_json,
     trivial,
 )
 
@@ -52,17 +52,13 @@ RECORDS = [
      "twist=0, torsion_step=1), K=Subgroup(group=GroupDescriptor(free_order=2, torsion_order=3), "
      "free_step=2, twist=0, torsion_step=1), inner=<SchurPresentation finite classes=2 "
      "tag='trivial'>, outer=<SchurPresentation finite classes=2 tag='trivial'>)"),
-    (FamilyDescriptor("orbit", generators=(PSI,), confidence_window=12),
-     "FamilyDescriptor(variant='orbit', symmetric=False, generators=(Automorphism(group="
-     "GroupDescriptor(free_order=0, torsion_order=3), twist=1, unit=1, torsion_unit=2),), "
-     "tower_step=0, inner=None, outer=None, confidence_window=12)"),
-    (TraditionalityResult("wedge", subgroups=(H, H),
-                          parts=(TraditionalityResult("trivial"), TraditionalityResult("orbit"))),
-     "TraditionalityResult(kind='wedge', generators=(), subgroups=(Subgroup(group="
+    (Recipe("wedge", subgroups=(H, H), parts=(Recipe("trivial"), Recipe("orbit", (PSI,)))),
+     "Recipe(kind='wedge', generators=(), subgroups=(Subgroup(group="
      "GroupDescriptor(free_order=2, torsion_order=3), free_step=2, twist=0, torsion_step=1), "
      "Subgroup(group=GroupDescriptor(free_order=2, torsion_order=3), free_step=2, twist=0, "
-     "torsion_step=1)), parts=(TraditionalityResult(kind='trivial', generators=(), "
-     "subgroups=None, parts=None), TraditionalityResult(kind='orbit', generators=(), "
+     "torsion_step=1)), parts=(Recipe(kind='trivial', generators=(), "
+     "subgroups=None, parts=None), Recipe(kind='orbit', generators=(Automorphism(group="
+     "GroupDescriptor(free_order=0, torsion_order=3), twist=1, unit=1, torsion_unit=2),), "
      "subgroups=None, parts=None)))"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
@@ -105,8 +101,8 @@ def test_equality_needs_the_same_class_and_fields():
     assert GroupDescriptor(1, 2) != GroupElement(1, 2)
     assert GroupDescriptor(1, 2) != (1, 2)
     assert Automorphism(G, 4, 1, 5) == PSI  # parameters are reduced before they are stored
-    assert TraditionalityResult("no") == TraditionalityResult("no")
-    assert not TraditionalityResult("no")
+    assert Recipe("no") == Recipe("no")
+    assert not Recipe("no")
 
 
 def test_constructor_defaults_and_normalisation():
@@ -116,4 +112,4 @@ def test_constructor_defaults_and_normalisation():
     assert CoeffFn().default == Fraction(0)
     assert VerificationReport("valid", 3).witness is None
     full = {"variant": "full", "window": 0, "symmetric": False}
-    assert FamilyDescriptor("full").to_json() == full
+    assert recipe_to_json(Recipe("orbit"), 0) == full
