@@ -3,7 +3,6 @@
 from sring import (
     GroupDescriptor,
     Subgroup,
-    WedgeSpec,
     discrete,
     named_automorphism,
     orbit_ring,
@@ -44,5 +43,5 @@ H = Subgroup.free_power_with_torsion(G, 2)
 h_desc, _ = H.as_group()
 inner = orbit_ring(h_desc, [named_automorphism("psi", h_desc)], 3)
 outer = discrete(Z, 6)
-custom = wedge(WedgeSpec(H, Subgroup.torsion(G), inner, outer), 6)
+custom = wedge(H, Subgroup.torsion(G), inner, outer, 6)
 print("wedge with an orbit-ring inner:", verify_axioms(custom).verdict)

@@ -23,8 +23,8 @@ _HOMES = {
         "recipe_to_json", "resynthesize",
     ),
     "constructions": (
-        "Recipe", "WedgeSpec", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric",
-        "tensor", "trivial", "wedge",
+        "Recipe", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric", "tensor",
+        "trivial", "wedge",
     ),
     "enumeration": ("enumerate_finite", "enumerate_windowed", "is_traditional"),
     "errors": (

@@ -39,13 +39,7 @@ def _require_window(group: GroupDescriptor, window: int) -> None:
 
 def discrete(group: GroupDescriptor, window: int = 0) -> SchurPresentation:
     """The discrete presentation: every element is its own class."""
-    _require_window(group, window)
-    return SchurPresentation(
-        group,
-        [[g] for g in group.window_elements(window)],
-        window=window if group.is_infinite else 0,
-        tag="discrete",
-    )
+    return orbit_ring(group, (), window)
 
 
 def trivial(group: GroupDescriptor) -> SchurPresentation:
@@ -56,7 +50,7 @@ def trivial(group: GroupDescriptor) -> SchurPresentation:
     classes = [[group.identity]]
     if rest:
         classes.append(rest)
-    return SchurPresentation(group, classes, tag="trivial")
+    return SchurPresentation(group, classes)
 
 
 def orbit_ring(
@@ -83,13 +77,7 @@ def orbit_ring(
         orb = orbit(gens, g)
         seen |= orb
         classes.append(orb)
-    names = ",".join(sorted(phi.name() or str(phi) for phi in gens)) if gens else ""
-    return SchurPresentation(
-        group,
-        classes,
-        window=window if group.is_infinite else 0,
-        tag=f"orbit({names})",
-    )
+    return SchurPresentation(group, classes, window=window if group.is_infinite else 0)
 
 
 def symmetric(group: GroupDescriptor, window: int = 0) -> SchurPresentation:
@@ -101,12 +89,13 @@ def _direct_product(
     H: Subgroup, K: Subgroup, A: SchurPresentation, B: SchurPresentation
 ) -> SchurPresentation:
     """The classes C*D over the internal direct product G = H x K, for A over
-    ``H.as_group()`` and B over ``K.as_group()``; the window is A's."""
+    ``H.as_group()`` and B over ``K.as_group()``; the window is the larger of
+    the two, as a finite factor's is 0."""
     G, h_coords, k_coords = H.group, H.as_group()[1], K.as_group()[1]
     left = [[h_coords.from_sub(g) for g in c] for c in A.classes]
     right = [[k_coords.from_sub(g) for g in d] for d in B.classes]
     classes = [frozenset(G.mul(x, y) for x in c for y in d) for c in left for d in right]
-    return SchurPresentation(G, classes, window=A.window, tag=f"tensor({A.tag},{B.tag})")
+    return SchurPresentation(G, classes, window=max(A.window, B.window))
 
 
 def tensor(A: SchurPresentation, B: SchurPresentation) -> SchurPresentation:
@@ -117,61 +106,34 @@ def tensor(A: SchurPresentation, B: SchurPresentation) -> SchurPresentation:
     of a free x torsion descriptor.  :func:`build` realizes other splits.
     """
     GA, GB = A.group, B.group
-
-    def one_sided(desc: GroupDescriptor) -> str | None:
-        if desc.torsion_order == 1 and desc.free_order != 1:
-            return "free"
-        if desc.free_order == 1:
-            return "torsion"
-        return None
-
     if GA.order == 1:
         return B
     if GB.order == 1:
         return A
-    kind_a, kind_b = one_sided(GA), one_sided(GB)
-    if kind_a == "free" and kind_b == "torsion":
-        free_factor, torsion_factor = A, B
-    elif kind_a == "torsion" and kind_b == "free":
-        free_factor, torsion_factor = B, A
-    else:
+    free, torsion = (A, B) if GB.free_order == 1 else (B, A)
+    if free.group.torsion_order != 1 or torsion.group.free_order != 1:
         raise UnsupportedProduct(
             f"cannot realize {GA} x {GB} as a free x torsion group"
         )
-    group = GroupDescriptor(
-        free_factor.group.free_order, torsion_factor.group.torsion_order
-    )
-    return _direct_product(
-        Subgroup.free_power(group, 1), Subgroup.torsion(group), free_factor, torsion_factor
-    )
+    group = GroupDescriptor(free.group.free_order, torsion.group.torsion_order)
+    return _direct_product(Subgroup.free_power(group, 1), Subgroup.torsion(group), free, torsion)
 
 
-class WedgeSpec(Record):
-    """A wedge decomposition 1 < K <= H < G with its two presentations.
+def wedge(
+    H: Subgroup,
+    K: Subgroup,
+    inner: SchurPresentation,
+    outer: SchurPresentation,
+    window: int = 0,
+) -> SchurPresentation:
+    """Assemble the wedge of a tower 1 < K <= H < G: inner classes inside H,
+    K-coset unions outside.
 
     ``inner`` lives over H's own descriptor (H.as_group coordinates) and
-    ``outer`` over the canonical descriptor of G/K.
+    ``outer`` over the canonical descriptor of G/K.  They must agree on the
+    overlap H/K: the images in G/K of the inner classes are the outer classes
+    inside H/K, on the window both cover.
     """
-
-    __slots__ = ("H", "K", "inner", "outer")
-
-    def __init__(
-        self, H: Subgroup, K: Subgroup, inner: SchurPresentation, outer: SchurPresentation
-    ) -> None:
-        _setattr(self, "H", H)
-        _setattr(self, "K", K)
-        _setattr(self, "inner", inner)
-        _setattr(self, "outer", outer)
-
-
-def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
-    """Assemble a wedge: inner classes inside H, K-coset unions outside.
-
-    The inner and outer presentations must agree on the overlap H/K: the
-    images in G/K of the inner classes are the outer classes inside H/K, on
-    the window both cover.
-    """
-    H, K = spec.H, spec.K
     G = H.group
     if K.group != G:
         raise BadTower("K lives in a different group")
@@ -184,55 +146,50 @@ def wedge(spec: WedgeSpec, window: int = 0) -> SchurPresentation:
     _require_window(G, window)
 
     h_desc, h_coords = H.as_group()
-    if spec.inner.group != h_desc:
+    if inner.group != h_desc:
         raise IncompatibleWedge(
-            f"inner presentation is over {spec.inner.group}, expected {h_desc}"
+            f"inner presentation is over {inner.group}, expected {h_desc}"
         )
-    if G.is_infinite and h_desc.is_infinite and spec.inner.window < window // H.free_step:
+    if G.is_infinite and h_desc.is_infinite and inner.window < window // H.free_step:
         raise WindowTooSmall(
-            f"inner window {spec.inner.window} cannot cover the middle subgroup "
+            f"inner window {inner.window} cannot cover the middle subgroup "
             f"inside window {window}"
         )
-    if G.is_infinite and spec.outer.window < window:
+    if G.is_infinite and outer.window < window:
         raise WindowTooSmall(
-            f"outer window {spec.outer.window} cannot cover window {window}"
+            f"outer window {outer.window} cannot cover window {window}"
         )
     qm = QuotientMap(G, K)
-    if spec.outer.group != qm.descriptor:
+    if outer.group != qm.descriptor:
         raise IncompatibleWedge(
-            f"outer presentation is over {spec.outer.group}, expected {qm.descriptor}"
+            f"outer presentation is over {outer.group}, expected {qm.descriptor}"
         )
 
     # The inner and outer rings are compared on H/K in the coordinates of G/K.
-    inner = [frozenset(h_coords.from_sub(g) for g in c) for c in spec.inner.classes]
+    inner_classes = [frozenset(h_coords.from_sub(g) for g in c) for c in inner.classes]
     k_elems = frozenset(K.elements())
-    if not all(c <= k_elems or c.isdisjoint(k_elems) for c in inner):
+    if not all(c <= k_elems or c.isdisjoint(k_elems) for c in inner_classes):
         raise IncompatibleWedge("K is not an S-subgroup of the inner presentation")
     h_image = Subgroup.generated_by(qm.descriptor, [qm.project(g) for g in H.generators()])
-    if not is_ssubgroup(spec.outer, h_image):
+    if not is_ssubgroup(outer, h_image):
         raise IncompatibleWedge("H/K is not an S-subgroup of the outer presentation")
-    outside = [d for d in spec.outer.classes if next(iter(d)) not in h_image]
-    left = {qm.project_set(c) for c in inner}
-    right = set(spec.outer.classes) - set(outside)
+    outside = [d for d in outer.classes if next(iter(d)) not in h_image]
+    left = {qm.project_set(c) for c in inner_classes}
+    right = set(outer.classes) - set(outside)
     if G.is_infinite:  # only classes inside both windows; K is finite, so z is kept
-        common = min(spec.outer.window, spec.inner.window * H.free_step)
+        common = min(outer.window, inner.window * H.free_step)
         left = {c for c in left if reach(c) <= common}
         right = {d for d in right if reach(d) <= common}
     if left != right:
         raise IncompatibleWedge("inner and outer presentations disagree on H/K")
 
-    classes = [c for c in inner if not G.is_infinite or reach(c) <= window]
+    classes = [c for c in inner_classes if not G.is_infinite or reach(c) <= window]
     for d in outside:
         preimage = frozenset(g for q in d for g in qm.preimage(q))
         if G.is_infinite and reach(preimage) > window:
             continue  # coset classes are emitted only when entirely inside the window
         classes.append(preimage)
-    return SchurPresentation(
-        G,
-        classes,
-        window=window if G.is_infinite else 0,
-        tag=f"wedge({spec.inner.tag}|{spec.outer.tag})",
-    )
+    return SchurPresentation(G, classes, window=window if G.is_infinite else 0)
 
 
 class Recipe(Record):
@@ -269,8 +226,8 @@ def build(group: GroupDescriptor, recipe: Recipe, window: int = 0) -> SchurPrese
     """The ring over ``group`` that ``recipe`` names, on ``window`` when the
     group is infinite; "no" raises ValueError.
 
-    A wedge builds its inner ring on window // step of a middle subgroup
-    <z^step> x ..., since that subgroup's level k is level k * step of G.
+    A tensor splits G into H x K with one factor finite; a wedge needs a
+    finite K.  A part over an infinite subgroup is built by :func:`_build_on`.
     """
     if recipe.kind == "trivial":
         return trivial(group)
@@ -278,19 +235,30 @@ def build(group: GroupDescriptor, recipe: Recipe, window: int = 0) -> SchurPrese
         return orbit_ring(group, recipe.generators, window)
     if recipe.kind == "tensor":
         (H, K), (left, right) = recipe.subgroups, recipe.parts
+        finite, other = (H, K) if H.order is not None else (K, H)
         HK = Subgroup.generated_by(group, H.generators() + K.generators())
-        if H.order * K.order != group.order or not HK.is_full:
+        if (
+            not HK.is_full
+            or finite.order is None
+            or any(g in other for g in finite.elements() if g != group.identity)
+        ):
             raise UnsupportedProduct(f"{H} x {K} is not a split of {group}")
-        return _direct_product(H, K, build(H.as_group()[0], left), build(K.as_group()[0], right))
+        return _direct_product(H, K, _build_on(H, left, window), _build_on(K, right, window))
     if recipe.kind == "wedge":
         (K, H), (inner, outer) = recipe.subgroups, recipe.parts
-        inner_window = window // H.free_step if H.order is None else window
-        return wedge(WedgeSpec(
+        return wedge(
             H, K,
-            build(H.as_group()[0], inner, inner_window),
+            _build_on(H, inner, window),
             build(QuotientMap(group, K).descriptor, outer, window),
-        ), window)
+            window,
+        )
     raise ValueError(f"a {recipe.kind!r} recipe builds no ring")
+
+
+def _build_on(H: Subgroup, recipe: Recipe, window: int) -> SchurPresentation:
+    """``recipe`` built over H's own descriptor.  An infinite H = <z^step> x ...
+    is built on window // step, since its level k is level k * step of G."""
+    return build(H.as_group()[0], recipe, window // H.free_step if H.order is None else window)
 
 
 def torsion_tower(group: GroupDescriptor, step: int) -> tuple[Subgroup, Subgroup]:

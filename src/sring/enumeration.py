@@ -12,7 +12,7 @@ from functools import cache, partial
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
-from .constructions import Recipe, WedgeSpec, _direct_product, wedge
+from .constructions import Recipe, _direct_product, wedge
 from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     GroupDescriptor,
@@ -192,7 +192,7 @@ def is_traditional(P: SchurPresentation) -> Recipe:
             for K, k_elems in proper:
                 if k_elems <= h_elems:
                     parts = restricted(H), quotiented(K)
-                    yield "wedge", (K, H), parts, wedge(WedgeSpec(H, K, *parts))
+                    yield "wedge", (K, H), parts, wedge(H, K, *parts)
 
     for kind, subgroups, parts, rebuilt in candidates():
         if rebuilt == P:
@@ -257,11 +257,9 @@ def enumerate_windowed(
     def multiply(c: frozenset, d: frozenset) -> dict:
         return class_product(c, d, group)
 
-    def extend(
-        classes: list[frozenset], level: int, candidates: list, mode: str, member: dict
-    ) -> None:
+    def extend(classes: list[frozenset], level: int, candidates: list, member: dict) -> None:
         if level > window:
-            P = SchurPresentation(group, classes, window=window, tag=f"windowed({mode})")
+            P = SchurPresentation(group, classes, window=window)
             if verify_axioms(P).ok:
                 results.append(P)
             return
@@ -269,12 +267,12 @@ def enumerate_windowed(
             extended = classes + list(layout)
             grown = member | {g: c for c in layout for g in c}
             if _closed(extended, layout, multiply, grown):
-                extend(extended, level + 1, candidates, mode, grown)
+                extend(extended, level + 1, candidates, grown)
 
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
         candidates = [_level_candidates(group, k, mode) for k in range(window + 1)]
         identity = frozenset([group.identity])
-        extend([identity], 0, candidates, mode, {group.identity: identity})
+        extend([identity], 0, candidates, {group.identity: identity})
     return results

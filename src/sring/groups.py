@@ -317,7 +317,7 @@ class Automorphism(Record):
         if self.group != GroupDescriptor(0, 3):
             return None
         for alias, params in _NAMED_PARAMS.items():
-            if (self.twist, self.unit, self.torsion_unit) == _reduced_params(self.group, params):
+            if (self.twist, self.unit, self.torsion_unit) == params:
                 return alias
         return None
 
@@ -345,14 +345,6 @@ _NAMED_PARAMS: dict[str, tuple[int, int, int]] = {
 }
 
 NAMED_AUTOMORPHISM_ORDER = tuple(_NAMED_PARAMS)
-
-
-def _reduced_params(group: GroupDescriptor, params: tuple[int, int, int]) -> tuple[int, int, int]:
-    j, e, u = params
-    n, m = group.free_order, group.torsion_order
-    if n:
-        e %= n
-    return (j % m, e, u % m)
 
 
 def named_automorphism(name: str, group: GroupDescriptor) -> Automorphism:

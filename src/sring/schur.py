@@ -51,18 +51,16 @@ def _class_key(cls: frozenset) -> tuple:
 class SchurPresentation:
     """A partition of a group (or a window of one) into basic sets."""
 
-    __slots__ = ("group", "window", "tag", "classes", "_member_class")
+    __slots__ = ("group", "window", "classes", "_member_class")
 
     def __init__(
         self,
         group: GroupDescriptor,
         classes: Iterable[Iterable[GroupElement]],
         window: int = 0,
-        tag: str | None = None,
     ):
         self.group = group
         self.window = int(window)
-        self.tag = tag
         normalized = [frozenset(group.element(*g) for g in c) for c in classes]
         self.classes = tuple(sorted(normalized, key=_class_key))
         member: dict[GroupElement, frozenset] = {}
@@ -89,7 +87,7 @@ class SchurPresentation:
 
     def __repr__(self) -> str:
         kind = "finite" if not self.group.is_infinite else f"window={self.window}"
-        return f"<SchurPresentation {kind} classes={len(self.classes)} tag={self.tag!r}>"
+        return f"<SchurPresentation {kind} classes={len(self.classes)}>"
 
     def describe(self) -> str:
         return "; ".join(
@@ -499,7 +497,7 @@ def restrict(P: SchurPresentation, H: Subgroup) -> SchurPresentation:
         window = P.window // H.free_step
     else:
         window = 0
-    return SchurPresentation(desc, inner_classes, window=window, tag=_derive_tag(P, "restrict"))
+    return SchurPresentation(desc, inner_classes, window=window)
 
 
 def quotient(P: SchurPresentation, K: Subgroup) -> SchurPresentation:
@@ -518,13 +516,7 @@ def quotient(P: SchurPresentation, K: Subgroup) -> SchurPresentation:
         window = P.window
     else:
         window = 0
-    return SchurPresentation(
-        qm.descriptor, images, window=window, tag=_derive_tag(P, "quotient")
-    )
-
-
-def _derive_tag(P: SchurPresentation, op: str) -> str | None:
-    return f"{op}({P.tag})" if P.tag else None
+    return SchurPresentation(qm.descriptor, images, window=window)
 
 
 def torsion_is_ssubgroup(P: SchurPresentation) -> bool:

@@ -148,25 +148,31 @@ class TestCriterion1VerifierCrossAgreement:
 class TestCriterion2ConstructorSweep:
     def test_validity_sweep(self):
         start = time.time()
-        built = []
+        built: list[tuple[str, SchurPresentation]] = []
         for window in (6, 12, 24):
-            built.append(discrete(G, window))
+            built.append((f"discrete {window}", discrete(G, window)))
             for name in NAMES:
-                built.append(orbit_ring(G, [AUTOS[name]], window))
-            built.append(orbit_ring(G, [AUTOS["psi"], AUTOS["xi"]], window))
-            built.append(orbit_ring(G, [AUTOS["delta"], AUTOS["xi"]], window))
-            built.append(tensor(symmetric(Z, window), discrete(Z3)))
-            built.append(tensor(symmetric(Z, window), trivial(Z3)))
-            built.append(tensor(discrete(Z, window), discrete(Z3)))
+                built.append((f"{name} {window}", orbit_ring(G, [AUTOS[name]], window)))
+            built.append((f"psi,xi {window}", orbit_ring(G, [AUTOS["psi"], AUTOS["xi"]], window)))
+            built.append(
+                (f"delta,xi {window}", orbit_ring(G, [AUTOS["delta"], AUTOS["xi"]], window)))
+            built.append((f"symmetric x discrete {window}",
+                          tensor(symmetric(Z, window), discrete(Z3))))
+            built.append((f"symmetric x trivial {window}",
+                          tensor(symmetric(Z, window), trivial(Z3))))
+            built.append((f"discrete x discrete {window}",
+                          tensor(discrete(Z, window), discrete(Z3))))
             for inner in ("discrete", "trivial"):
                 for outer in ("discrete", "symmetric"):
-                    built.append(standard_wedge(G, 0, inner, outer, window))
+                    built.append((f"wedge 0 {inner} {outer} {window}",
+                                  standard_wedge(G, 0, inner, outer, window)))
             for step in (2, 3, 4):
-                for kinds in (("discrete", "discrete"), ("symmetric", "symmetric")):
-                    built.append(standard_wedge(G, step, kinds[0], kinds[1], window))
-        built.append(trivial(Z3))
-        built.append(trivial(GroupDescriptor(2, 3)))
-        invalid = [P.tag for P in built if not verify_axioms(P).ok]
+                for kind in ("discrete", "symmetric"):
+                    built.append((f"wedge {step} {kind} {kind} {window}",
+                                  standard_wedge(G, step, kind, kind, window)))
+        built.append(("trivial Z_3", trivial(Z3)))
+        built.append(("trivial Z_2 x Z_3", trivial(GroupDescriptor(2, 3))))
+        invalid = [label for label, P in built if not verify_axioms(P).ok]
         elapsed = time.time() - start
         ok = not invalid
         _report(
@@ -291,41 +297,41 @@ class TestCriterion4DeskScaleExhaustiveness:
 class TestCriterion5LemmaSuite:
     def _corpus(self):
         window = 12
-        corpus = [discrete(G, window), standard_wedge(G, 0, "discrete", "discrete", window)]
-        for name in NAMES:
-            corpus.append(orbit_ring(G, [AUTOS[name]], window))
-        corpus.append(orbit_ring(G, [AUTOS["zeta"]], window))
-        corpus.append(orbit_ring(G, [AUTOS["tau"]], window))
-        corpus.append(orbit_ring(G, [AUTOS["psi"], AUTOS["xi"]], window))
-        corpus.append(orbit_ring(G, [AUTOS["delta"], AUTOS["xi"]], window))
-        corpus.append(standard_wedge(G, 0, "trivial", "symmetric", window))
-        corpus.append(standard_wedge(G, 2, "discrete", "discrete", window))
-        corpus.append(standard_wedge(G, 3, "symmetric", "symmetric", window))
-        corpus.append(tensor(symmetric(Z, window), trivial(Z3)))
+        corpus = [("discrete", discrete(G, window)),
+                  ("wedge 0 discrete discrete", standard_wedge(G, 0, "discrete", "discrete", window))]
+        for name in (*NAMES, "zeta", "tau"):
+            corpus.append((name, orbit_ring(G, [AUTOS[name]], window)))
+        corpus.append(("psi,xi", orbit_ring(G, [AUTOS["psi"], AUTOS["xi"]], window)))
+        corpus.append(("delta,xi", orbit_ring(G, [AUTOS["delta"], AUTOS["xi"]], window)))
+        for step, inner, outer in ((0, "trivial", "symmetric"), (2, "discrete", "discrete"),
+                                   (3, "symmetric", "symmetric")):
+            corpus.append((f"wedge {step} {inner} {outer}",
+                           standard_wedge(G, step, inner, outer, window)))
+        corpus.append(("symmetric x trivial", tensor(symmetric(Z, window), trivial(Z3))))
         return corpus
 
     def test_lemma_suite(self):
         start = time.time()
         failures = []
         corpus = self._corpus()
-        for P in corpus:
-            assert verify_axioms(P).ok
+        for label, P in corpus:
+            assert verify_axioms(P).ok, label
             for k in (2, 4, 5, 7):
                 ok, msg = frobenius_closure_holds(P, k)
                 if not ok:
-                    failures.append((P.tag, f"frobenius {k}", msg))
+                    failures.append((label, f"frobenius {k}", msg))
             ok, msg = torsion_subgroup_holds(P)
             if not ok:
-                failures.append((P.tag, "torsion", msg))
+                failures.append((label, "torsion", msg))
             ok, msg = multiplier_sets_hold(P, 3)  # both routes must agree inside
             if not ok:
-                failures.append((P.tag, "multipliers", msg))
+                failures.append((label, "multipliers", msg))
             ok, msg = class_shape_holds(P)
             if not ok:
-                failures.append((P.tag, "class shape", msg))
+                failures.append((label, "class shape", msg))
             ok, msg = power_in_subgroup_holds(P, find_H(P))
             if not ok:
-                failures.append((P.tag, "small-class powers", msg))
+                failures.append((label, "small-class powers", msg))
         elapsed = time.time() - start
         ok = not failures
         _report(

@@ -16,7 +16,6 @@ from sring import (
     Subgroup,
     Unclassifiable,
     UnrecognizedQuotient,
-    WedgeSpec,
     WindowTooSmall,
     build,
     classify,
@@ -225,10 +224,7 @@ class TestClassifyWedges:
         H = Subgroup.free_power_with_torsion(G, 2)
         h_desc, _ = H.as_group()
         inner = orbit_ring(h_desc, [named_automorphism("psi", h_desc)], 6)
-        P = wedge(
-            WedgeSpec(H, Subgroup.torsion(G), inner, discrete(GroupDescriptor(0, 1), 12)),
-            12,
-        )
+        P = wedge(H, Subgroup.torsion(G), inner, discrete(GroupDescriptor(0, 1), 12), 12)
         d = classify(P)
         assert d.kind == "wedge" and d.subgroups == torsion_tower(G, 2)
         assert d.parts[0].kind == "orbit"
@@ -240,10 +236,7 @@ class TestClassifyWedges:
         H = Subgroup.free_power_with_torsion(G, 2)
         h_desc, _ = H.as_group()
         inner = standard_wedge(h_desc, 2, "discrete", "discrete", 6)
-        P = wedge(
-            WedgeSpec(H, Subgroup.torsion(G), inner, discrete(GroupDescriptor(0, 1), 12)),
-            12,
-        )
+        P = wedge(H, Subgroup.torsion(G), inner, discrete(GroupDescriptor(0, 1), 12), 12)
         d = classify(P)
         assert d.subgroups == torsion_tower(G, 4) and d.parts[0] == Recipe("orbit")
         assert resynthesize(d, 12).classes == P.classes

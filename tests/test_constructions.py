@@ -8,9 +8,9 @@ from sring import (
     IncompatibleWedge,
     InfiniteGroup,
     Recipe,
+    SchurPresentation,
     Subgroup,
     UnsupportedProduct,
-    WedgeSpec,
     WindowTooSmall,
     build,
     discrete,
@@ -202,7 +202,7 @@ class TestWedge:
         inner = discrete(GroupDescriptor(1, 3))
         outer = discrete(GroupDescriptor(0, 1), 6)
         with pytest.raises(BadTower):
-            wedge(WedgeSpec(K, Subgroup.trivial(G), inner, outer), 6)
+            wedge(K, Subgroup.trivial(G), inner, outer, 6)
 
     @pytest.mark.parametrize(
         "step,inner,outer,message",
@@ -254,10 +254,7 @@ class TestWedge:
         H = Subgroup.free_power_with_torsion(G, 2)
         h_desc, _ = H.as_group()
         with pytest.raises(IncompatibleWedge):
-            wedge(
-                WedgeSpec(H, H, discrete(h_desc, 3), discrete(GroupDescriptor(2, 1))),
-                6,
-            )
+            wedge(H, H, discrete(h_desc, 3), discrete(GroupDescriptor(2, 1)), 6)
 
     def test_recursive_inner(self, G):
         # inner ring on <z^2> x Z_3 is itself an orbit ring
@@ -265,7 +262,7 @@ class TestWedge:
         h_desc, _ = H.as_group()
         inner = orbit_ring(h_desc, [named_automorphism("psi", h_desc)], 3)
         outer = discrete(GroupDescriptor(0, 1), 6)
-        P = wedge(WedgeSpec(H, Subgroup.torsion(G), inner, outer), 6)
+        P = wedge(H, Subgroup.torsion(G), inner, outer, 6)
         classes = set(P.classes)
         assert frozenset({(2, 0), (2, 1)}) in classes  # embedded psi pair at z^2
         assert G.coset_of_torsion(1) in classes
@@ -282,7 +279,7 @@ class TestBuild:
             result = is_traditional(P)
             if result.kind == "wedge":
                 K, H = result.subgroups
-                assert wedge(WedgeSpec(H, K, restrict(P, H), quotient(P, K))) == P
+                assert wedge(H, K, restrict(P, H), quotient(P, K)) == P
                 wedges += 1
         assert wedges == 241
 
@@ -301,6 +298,35 @@ class TestBuild:
         with pytest.raises(UnsupportedProduct):
             build(G, Recipe("tensor", subgroups=(a, a), parts=(trivial_part, trivial_part)))
 
+    @pytest.mark.parametrize("free_first", [True, False])
+    @pytest.mark.parametrize("free_gen", [(1, 0), (1, 1)], ids=["z", "za"])
+    def test_tensor_over_an_infinite_factor(self, G, Z, Z3, free_gen, free_first):
+        # the free part is built on the whole window and the finite part has
+        # window 0, so the product takes the larger window whichever comes first
+        free = Subgroup.generated_by(G, [GroupElement(*free_gen)])
+        parts = {free: Recipe("orbit", (Automorphism.inversion(Z),)),
+                 Subgroup.torsion(G): Recipe("trivial")}
+        split = tuple(parts) if free_first else tuple(reversed(parts))
+        P = build(G, Recipe("tensor", subgroups=split, parts=tuple(parts[S] for S in split)), 6)
+        # <za> x <a> is <z> x <a> moved by z -> az, a -> a
+        phi = Automorphism(G, free_gen[1], 1, 1)
+        expected = tensor(symmetric(Z, 6), trivial(Z3))
+        assert P == SchurPresentation(G, [phi.apply_set(c) for c in expected.classes], 6)
+        assert P.window == 6 and verify_axioms(P).ok
+
+    @pytest.mark.parametrize("group,first,text", [
+        ((0, 3), (1, 0), "<z> x <z, a>"),  # no finite factor
+        ((0, 3), (0, 1), "<a> x <z, a>"),  # a finite factor that meets the other
+        ((2, 2), (1, 0), "<z> x <z, a>"),
+    ], ids=["no-finite-factor", "meets-over-ZxZ3", "meets-over-Z2xZ2"])
+    def test_tensor_refuses_what_is_not_a_split(self, group, first, text):
+        G = GroupDescriptor(*group)
+        split = (Subgroup.generated_by(G, [GroupElement(*first)]), Subgroup.full(G))
+        parts = (Recipe("orbit"), Recipe("orbit"))
+        with pytest.raises(UnsupportedProduct) as info:
+            build(G, Recipe("tensor", subgroups=split, parts=parts), 6)
+        assert str(info.value) == f"{text} is not a split of {G}"
+
     def test_no_builds_nothing(self, Z3):
         with pytest.raises(ValueError):
             build(Z3, Recipe("no"))
@@ -317,7 +343,7 @@ class TestBuild:
         P = build(G, Recipe("wedge", subgroups=(K, H), parts=(inner, Recipe("orbit"))), 12)
         built_inner = orbit_ring(h_desc, [named_automorphism("psi", h_desc)], 4)
         outer = discrete(GroupDescriptor(0, 1), 12)
-        assert P == wedge(WedgeSpec(H, K, built_inner, outer), 12)
+        assert P == wedge(H, K, built_inner, outer, 12)
         assert P.window == 12 and verify_axioms(P).ok
 
     @pytest.mark.parametrize("step,message", [
@@ -337,18 +363,19 @@ class TestBuild:
 
 class TestSweep:
     def test_constructor_validity_sweep_small(self, G, Z, Z3, autos):
-        presentations = [discrete(G, 6), trivial(Z3)]
+        presentations = [("discrete", discrete(G, 6)), ("trivial", trivial(Z3))]
         for name in ("psi", "delta", "xi", "rho", "sigma"):
-            presentations.append(orbit_ring(G, [autos[name]], 6))
-        presentations.append(tensor(symmetric(Z, 6), discrete(Z3)))
-        presentations.append(tensor(symmetric(Z, 6), trivial(Z3)))
+            presentations.append((name, orbit_ring(G, [autos[name]], 6)))
+        presentations.append(("symmetric x discrete", tensor(symmetric(Z, 6), discrete(Z3))))
+        presentations.append(("symmetric x trivial", tensor(symmetric(Z, 6), trivial(Z3))))
         for step in (0, 2, 3):
             inners = ("discrete", "trivial") if step == 0 else ("discrete", "symmetric")
             for inner in inners:
                 for outer in ("discrete", "symmetric"):
                     try:
-                        presentations.append(standard_wedge(G, step, inner, outer, 6))
+                        P = standard_wedge(G, step, inner, outer, 6)
                     except IncompatibleWedge:
                         continue
-        for P in presentations:
-            assert verify_axioms(P).ok, P.tag
+                    presentations.append((f"wedge {step} {inner} {outer}", P))
+        for label, P in presentations:
+            assert verify_axioms(P).ok, label

@@ -134,6 +134,19 @@ class TestAutomorphisms:
             Automorphism(F, 1, 1, 1)  # a*z would break z^4 = 1
         assert len(all_automorphisms(F)) == 4
 
+    # the 12 maps of Z x Z_3 as (twist, unit, torsion_unit): 7 carry an alias, 5 do not
+    @pytest.mark.parametrize("params,alias", [
+        ((1, 1, 2), "psi"), ((2, 1, 2), "delta"), ((0, -1, 2), "xi"), ((1, -1, 1), "rho"),
+        ((2, -1, 1), "sigma"), ((0, -1, 1), "zeta"), ((0, 1, 2), "tau"), ((0, 1, 1), None),
+        ((1, -1, 2), None), ((1, 1, 1), None), ((2, -1, 2), None), ((2, 1, 1), None),
+    ], ids=lambda v: str(v))
+    def test_name_and_json_of_every_map(self, G, params, alias):
+        phi = Automorphism(G, *params)
+        assert phi in all_automorphisms(G)
+        assert phi.name() == alias
+        j, e, u = params
+        assert phi.to_json() == (alias or {"z": [j, e], "a": u})
+
     def test_inversion_is_xi(self, G, autos):
         assert Automorphism.inversion(G) == autos["xi"]
 

@@ -19,8 +19,8 @@ from sring import (
     Recipe,
     Subgroup,
     VerificationReport,
-    WedgeSpec,
     Witness,
+    discrete,
     named_automorphism,
     recipe_to_json,
     trivial,
@@ -47,11 +47,6 @@ RECORDS = [
      "VerificationReport(verdict='invalid', checked_pairs=0, effective_window=None, "
      "witness=Witness(kind='star-closure', left=(GroupElement(z_exp=0, a_exp=1),), "
      "right=None, detail='detail'))"),
-    (WedgeSpec(H, H, trivial(GroupDescriptor(1, 3)), trivial(GroupDescriptor(2, 1))),
-     "WedgeSpec(H=Subgroup(group=GroupDescriptor(free_order=2, torsion_order=3), free_step=2, "
-     "twist=0, torsion_step=1), K=Subgroup(group=GroupDescriptor(free_order=2, torsion_order=3), "
-     "free_step=2, twist=0, torsion_step=1), inner=<SchurPresentation finite classes=2 "
-     "tag='trivial'>, outer=<SchurPresentation finite classes=2 tag='trivial'>)"),
     (Recipe("wedge", subgroups=(H, H), parts=(Recipe("trivial"), Recipe("orbit", (PSI,)))),
      "Recipe(kind='wedge', generators=(), subgroups=(Subgroup(group="
      "GroupDescriptor(free_order=2, torsion_order=3), free_step=2, twist=0, torsion_step=1), "
@@ -113,3 +108,9 @@ def test_constructor_defaults_and_normalisation():
     assert VerificationReport("valid", 3).witness is None
     full = {"variant": "full", "window": 0, "symmetric": False}
     assert recipe_to_json(Recipe("orbit"), 0) == full
+
+
+def test_presentation_repr_names_the_group_kind_and_class_count():
+    # a presentation is not a record: its repr is a summary, not its fields
+    assert repr(trivial(GroupDescriptor(1, 3))) == "<SchurPresentation finite classes=2>"
+    assert repr(discrete(G, 2)) == "<SchurPresentation window=2 classes=15>"
