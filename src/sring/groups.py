@@ -84,6 +84,11 @@ class GroupDescriptor(Record):
         _setattr(self, "free_order", free_order)
         _setattr(self, "torsion_order", torsion_order)
 
+    def __str__(self) -> str:
+        """The name that the CLI's ``parse_group`` reads: Z, ZxZ3, Z12 (Z_1 x Z_12), Z2xZ6."""
+        n, m = self.free_order, self.torsion_order
+        return f"Z{m}" if n == 1 else "Z" if (n, m) == (0, 1) else f"Z{n or ''}xZ{m}"
+
     @property
     def is_infinite(self) -> bool:
         return self.free_order == 0

@@ -5,15 +5,21 @@ infinite group) claiming to span a Schur ring.  Verification is exact; for
 windowed presentations a product check runs only when it provably stays
 inside the window, so truncation can never produce a false negative.
 
-Class sums have non-negative integer coefficients, so both verifiers (and the
-enumerators) multiply them with :func:`class_product`, which counts products
-of exponent pairs directly.  :class:`RingElement` stays the exact rational
-algebra for the span and multiplier checks; only the lemma checks that build
-ring elements load :mod:`sring.group_ring`.
+Class sums have non-negative integer coefficients.  :func:`verify_axioms`
+takes one row pass per class c: it reads the class labels of x^-1 g for every
+x in c and g in the window off one list, and so checks c against every class
+at once.  :func:`verify_wielandt` and the enumerators multiply one pair at a
+time with :func:`class_product`, which counts products of exponent pairs.
+:class:`RingElement` stays the exact rational algebra for the span and
+multiplier checks; only the lemma checks that build ring elements load
+:mod:`sring.group_ring`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import compress, islice
+from operator import itemgetter, ne
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -90,9 +96,7 @@ class SchurPresentation:
         return f"<SchurPresentation {kind} classes={len(self.classes)}>"
 
     def describe(self) -> str:
-        return "; ".join(
-            "{" + ", ".join(format_element(g) for g in sorted(c)) + "}" for c in self.classes
-        )
+        return "; ".join(map(_fmt_class, self.classes))
 
     # -- serialization --------------------------------------------------------
 
@@ -292,21 +296,21 @@ def _group_by_value(coeffs: Mapping) -> list[tuple]:
 def _report(P: SchurPresentation, pairs: int, witness: Witness | None = None) -> VerificationReport:
     """Invalid when there is a witness, else valid (up to the window for infinite G)."""
     infinite = P.group.is_infinite
-    if witness is not None:
-        verdict = INVALID
-    else:
-        verdict = VALID_UP_TO_WINDOW if infinite else VALID
-    return VerificationReport(
-        verdict, pairs, effective_window=P.window if infinite else None, witness=witness
-    )
+    verdict = INVALID if witness is not None else VALID_UP_TO_WINDOW if infinite else VALID
+    window = P.window if infinite else None
+    return VerificationReport(verdict, pairs, effective_window=window, witness=witness)
 
 
 def verify_axioms(P: SchurPresentation) -> VerificationReport:
     """Check the defining axioms: identity class, star closure, product closure.
 
     Product closure is tested as coefficient-constancy of each product on
-    every class it meets.  Deterministic: classes are scanned in canonical
-    order, so the witness is the least one.
+    every class, one row pass per class c: the coefficient of g in c.d is the
+    number of x in c with x^-1 g in d, so c passes against every d at once when
+    all elements of a class see the same multiset of labels.  A row whose star
+    row has passed is skipped.  On a window only the pairs with reach(c) +
+    reach(d) <= window count.  Deterministic: the witness is the least failing
+    pair in canonical scan order, and ``checked_pairs`` counts the pairs up to it.
     """
     check_partition(P)
     identity_class = P.class_of(P.group.identity)
@@ -337,24 +341,53 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
                 ),
             )
 
-    member = P._member_class
-    pairs = 0
-    for c, d in _checkable_pairs(P):
-        product = class_product(c, d, P.group)
-        pairs += 1
-        e = split_class(product, member, order=sorted(product))
-        if e is not None:
-            return _report(
-                P,
-                pairs,
-                Witness(
-                    "product-closure",
-                    _class_key(c),
-                    _class_key(d),
-                    f"product is not constant on class {_fmt_class(e)}",
-                ),
-            )
-    return _report(P, pairs)
+    pairs, split = _product_rows(P)
+    if split is None:
+        return _report(P, pairs)
+    product = class_product(*split, P.group)
+    e = split_class(product, P._member_class, order=sorted(product))
+    detail = f"product is not constant on class {_fmt_class(e)}"
+    return _report(P, pairs, Witness("product-closure", *map(_class_key, split), detail))
+
+
+def _product_rows(P: SchurPresentation) -> tuple[int, tuple | None]:
+    """The checked pairs, and the first pair (c, d) in scan order whose
+    product is not constant on a class (None if there is none)."""
+    classes, (n, m) = P.classes, (P.group.free_order, P.group.torsion_order)
+    w, reaches = (0, [0] * len(classes)) if n else (P.window, [reach(c) for c in classes])
+    s, size = (n, n * m) if n else (w, (2 * w + 1) * m)  # s: the window's first block in labels
+    base = [-1] * size  # class index per element of the window, in window order
+    for i, c in enumerate(classes):
+        for z, a in c:
+            base[(z + s - n) * m + a] = i
+    pad = base if n else [-1] * (w * m)  # so that x^-1 g has a label for all x, g in the window
+    labels = pad + base + pad
+    big = [e for e in classes if len(e) > 1]  # a singleton class cannot be split
+    joined = [p + 1 < len(e) for e in big for p in range(len(e))]  # g and the next g share a class
+    gathers = [itemgetter(*[(z + s - n) * m + (a - r) % m for e in big for z, a in e])
+               for r in range(m)] if big else ()
+    masks = {w: labels}  # reach limit -> labels, -1 for the classes that reach past it
+    for i, c in enumerate(classes if big else ()):
+        z, a = next(iter(c))
+        if labels[(2 * s - n - z) * m + -a % m] < i:  # c.d = (c*.d*)*, and row c* passed
+            continue
+        limit = w - reaches[i]
+        if limit not in masks:
+            keep = [j if r <= limit else -1 for j, r in enumerate(reaches)] + [-1]
+            masks[limit] = list(map(keep.__getitem__, labels))
+        row = masks[limit]
+        cols = [gathers[a](row[(s - z) * m:(s - z) * m + size]) for z, a in c]
+        keys = cols[0] if len(cols) == 1 else list(map(sorted, zip(*cols)))
+        if any(compress(map(ne, keys, keys[1:]), joined)):
+            seen = iter(zip(*cols))  # the labels of each g, class by class
+            first = min(d for ts in [list(islice(seen, len(e))) for e in big]
+                        for d in set().union(*ts) if d >= 0 and len({t.count(d) for t in ts}) > 1)
+            before = sum(r + t <= w for j, r in enumerate(reaches[:i]) for t in reaches[j:])
+            pairs = before + sum(reaches[i] + t <= w for t in reaches[i:first + 1])
+            return pairs, (c, classes[first])
+    ordered = sorted(reaches)
+    both = sum(bisect_right(ordered, w - r) for r in reaches) + sum(2 * r <= w for r in reaches)
+    return both // 2, None  # ordered pairs plus the diagonal, halved
 
 
 def _fmt_class(c: Iterable[GroupElement]) -> str:

@@ -123,6 +123,20 @@ class TestParseGroup:
         with pytest.raises(ValueError):
             parse_group("D4")
 
+    @pytest.mark.parametrize("group,text", [
+        ((0, 1), "Z"), ((0, 3), "ZxZ3"), ((1, 12), "Z12"), ((2, 6), "Z2xZ6"), ((1, 1), "Z1"),
+        ((12, 1), "Z12xZ1"),
+    ])
+    def test_descriptor_text_is_what_parse_group_reads(self, group, text):
+        assert str(GroupDescriptor(*group)) == text
+        assert parse_group(text) == GroupDescriptor(*group)
+
+    def test_every_descriptor_round_trips_through_its_text(self):
+        for n in range(7):
+            for m in range(1, 7):
+                group = GroupDescriptor(n, m)
+                assert parse_group(str(group)) == group
+
     @pytest.mark.parametrize("text", ["Z0xZ3", "Z00xZ2"])
     def test_written_free_order_zero_rejected(self, text):
         with pytest.raises(ValueError, match="free order"):
@@ -423,7 +437,7 @@ class TestInputBoundary:
         path.write_text(out)
         code, out, _ = invoke(capsys, "classify", str(path))
         assert (code, out) == (1, "unclassifiable: classification is defined over Z x Z_3, "
-                                  "got GroupDescriptor(free_order=1, torsion_order=4)\n")
+                                  "got Z4\n")
 
     def test_construct_tensor_of_two_torsion_groups_prints_both_descriptors(self, capsys):
         _, left, _ = invoke(capsys, "construct", "--kind", "trivial", "--params", '{"group":"Z2"}')
@@ -431,9 +445,15 @@ class TestInputBoundary:
         params = json.dumps({"left": json.loads(left), "right": json.loads(right)})
         code, out, _ = invoke(capsys, "--json", "construct", "--kind", "tensor", "--params", params)
         assert (code, json.loads(out)) == (2, {"error": (
-            "cannot realize GroupDescriptor(free_order=1, torsion_order=2) x "
-            "GroupDescriptor(free_order=1, torsion_order=3) as a free x torsion group"
+            "cannot realize Z2 x Z3 as a free x torsion group"
         )})
+
+    def test_construct_tensor_of_two_rings_over_z_names_both_groups(self, capsys):
+        _, ring, _ = invoke(capsys, "--json", "construct", "--kind", "discrete",
+                            "--window", "2", "--params", '{"group": "Z"}')
+        params = json.dumps({"left": json.loads(ring), "right": json.loads(ring)})
+        code, out, _ = invoke(capsys, "construct", "--kind", "tensor", "--params", params)
+        assert (code, out) == (2, "malformed: cannot realize Z x Z as a free x torsion group\n")
 
     def test_construct_window_too_small_exits_three(self, capsys):
         code, out, _ = invoke(capsys, "--json", "construct", "--kind", "discrete", "--window", "0")

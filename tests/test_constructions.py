@@ -139,6 +139,14 @@ class TestTensor:
         with pytest.raises(UnsupportedProduct):
             tensor(discrete(G, 3), discrete(Z3))
 
+    def test_unsupported_message_names_both_groups(self, G, Z, Z3):
+        with pytest.raises(UnsupportedProduct) as info:
+            tensor(discrete(G, 3), discrete(Z3))
+        assert str(info.value) == "cannot realize ZxZ3 x Z3 as a free x torsion group"
+        with pytest.raises(UnsupportedProduct) as info:
+            tensor(discrete(Z, 2), symmetric(Z, 2))
+        assert str(info.value) == "cannot realize Z x Z as a free x torsion group"
+
     def test_class_count_is_product_of_factor_counts(self, Z, Z3):
         for free_factor in (symmetric(Z, 6), discrete(Z, 6)):
             for torsion_factor in (discrete(Z3), trivial(Z3)):
@@ -326,6 +334,14 @@ class TestBuild:
         with pytest.raises(UnsupportedProduct) as info:
             build(G, Recipe("tensor", subgroups=split, parts=parts), 6)
         assert str(info.value) == f"{text} is not a split of {G}"
+
+    def test_split_refusal_names_the_group(self):
+        for group, text in (((0, 3), "ZxZ3"), ((2, 2), "Z2xZ2"), ((1, 6), "Z6")):
+            G = GroupDescriptor(*group)
+            split = (Subgroup.full(G), Subgroup.full(G))
+            with pytest.raises(UnsupportedProduct) as info:
+                build(G, Recipe("tensor", subgroups=split, parts=(Recipe("orbit"),) * 2), 6)
+            assert str(info.value).endswith(f" is not a split of {text}")
 
     def test_no_builds_nothing(self, Z3):
         with pytest.raises(ValueError):

@@ -4,10 +4,16 @@
 the reference.  The golden reports (verdict, checked pairs, witness) were
 recorded from the group-ring product path that the kernel replaced, on
 star-closed perturbations of valid rings: two class pairs at one level are
-merged, so the product-closure witness lands in the middle of the scan.
+merged, so the product-closure witness lands in the middle of the scan.  The
+rows at windows 58 and 64 were recorded from the pairwise ``class_product``
+scan, before ``verify_axioms`` took one row pass per class.  On random
+partitions, ``verify_axioms`` (row pass) and ``verify_wielandt`` (pairwise
+level sets) must agree.
 """
 
 import json
+
+from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +72,54 @@ class TestClassProduct:
         assert all(type(v) is int for v in prod.values())
 
 
+@st.composite
+def partitions(draw):
+    """A partition of Z x Z_m (m <= 4, window <= 5) or of Z_n x Z_m (nm <= 24)
+    with {1} as a class, usually joined with its image under inversion so
+    that it is star-closed."""
+    if draw(st.booleans()):
+        group = GroupDescriptor(0, draw(st.integers(1, 4)))
+        window = draw(st.integers(1, 5))
+    else:
+        n = draw(st.integers(1, 24))
+        group, window = GroupDescriptor(n, draw(st.integers(1, 24 // n))), 0
+    elems = [g for g in group.window_elements(window) if g != group.identity]
+    labels = draw(st.lists(st.integers(0, len(elems)), min_size=len(elems), max_size=len(elems)))
+    star_closed = draw(st.integers(0, 4)) > 0
+    index = {g: i for i, g in enumerate(elems)}
+    inv = [index[group.inverse(g)] for g in elems]
+    root = list(range(len(elems)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    first: dict = {}
+    for i, label in enumerate(labels):
+        j = first.setdefault(label, i)
+        root[find(i)] = find(j)
+        if star_closed:
+            root[find(inv[i])] = find(inv[j])
+    classes = defaultdict(list)
+    for i, g in enumerate(elems):
+        classes[find(i)].append(g)
+    return SchurPresentation(group, [[group.identity], *classes.values()], window)
+
+
+class TestRoutesAgree:
+    @given(partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_axioms_and_wielandt_agree(self, P):
+        axioms, wielandt = verify_axioms(P), verify_wielandt(P)
+        assert (axioms.verdict, axioms.checked_pairs) == (wielandt.verdict, wielandt.checked_pairs)
+        # "is a class" and "is a union of classes" may name different first star witnesses
+        if axioms.witness is not None and axioms.witness.kind != "star-closure":
+            assert axioms.witness.kind == wielandt.witness.kind
+            assert (axioms.witness.left, axioms.witness.right) == (
+                wielandt.witness.left, wielandt.witness.right)
+
+
 class TestHelpers:
     def test_split_class_finds_the_first_split_class_in_the_given_order(self):
         low, high = frozenset({(0, 1), (0, 2)}), frozenset({(1, 1), (1, 2)})
@@ -117,6 +171,8 @@ def _cases():
     pair16 = orbit_ring(G, [auto("delta"), auto("xi")], 16)
     wedge12 = standard_wedge(G, 3, "discrete", "discrete", 12)
     z12, z2z6 = discrete(GroupDescriptor(1, 12)), discrete(GroupDescriptor(2, 6))
+    d64 = discrete(G, 64)
+    psi58 = orbit_ring(G, [auto("psi")], 58)
     return {
         "discrete-16": d16,
         "discrete-16-perturbed@6a": _perturb(d16, 6, 0),
@@ -132,6 +188,12 @@ def _cases():
         "wedge-12-perturbed@4": _perturb(wedge12, 4, 0),
         "Z12-merged": _merge(z12, frozenset({E(0, 2)}), frozenset({E(0, 5)})),
         "Z2xZ6-merged": _merge(z2z6, frozenset({E(1, 1)}), frozenset({E(0, 4)})),
+        "discrete-64": d64,
+        "discrete-64-perturbed@25": _perturb(d64, 25, 0),
+        "discrete-64-perturbed@26": _perturb(d64, 26, 3),
+        "psi-58": psi58,
+        "psi-58-perturbed@23": _perturb(psi58, 23, 1),
+        "sigma-58": orbit_ring(G, [auto("sigma")], 58),
     }
 
 
@@ -165,6 +227,18 @@ GOLDEN = {
         '{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}'),
     'Z2xZ6-merged': ('{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "product is not constant on class {a^2, z*a^5}", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}',
         '{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}'),
+    'discrete-64': ('{"checked_pairs": 37542, "effective_window": 64, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 37542, "effective_window": 64, "verdict": "valid-up-to-window", "witness": null}'),
+    'discrete-64-perturbed@25': ('{"checked_pairs": 3718, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-25, z^-25*a^2}", "kind": "product-closure", "left": [[-44, 0]], "right": [[19, 0]]}}',
+        '{"checked_pairs": 3718, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-44, 0]], "right": [[19, 0]]}}'),
+    'discrete-64-perturbed@26': ('{"checked_pairs": 3364, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-26, z^-26*a^2}", "kind": "product-closure", "left": [[-45, 0]], "right": [[19, 0]]}}',
+        '{"checked_pairs": 3364, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-45, 0]], "right": [[19, 0]]}}'),
+    'psi-58': ('{"checked_pairs": 13749, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 13749, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}'),
+    'psi-58-perturbed@23': ('{"checked_pairs": 1367, "effective_window": 58, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-23, z^-23*a, z^-23*a^2}", "kind": "product-closure", "left": [[-40, 0], [-40, 2]], "right": [[17, 0], [17, 2]]}}',
+        '{"checked_pairs": 1367, "effective_window": 58, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-40, 0], [-40, 2]], "right": [[17, 0], [17, 2]]}}'),
+    'sigma-58': ('{"checked_pairs": 8010, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 8010, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}'),
 }
 
 
