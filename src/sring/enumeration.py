@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, partial
 from itertools import chain, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .constructions import Recipe, _direct_product, wedge
 from .errors import BoundExceeded, InfiniteGroup
@@ -29,7 +29,6 @@ from .schur import (
     restrict,
     shadow,
     split_class,
-    star,
     verify_axioms,
 )
 
@@ -60,8 +59,9 @@ def _closed(
     )
 
 
-def _star_pairs(remaining: Sequence[int], inv: Sequence[int]) -> Iterator[list[frozenset]]:
-    """The fresh classes holding the least of the star-closed ``remaining``.
+def _star_pairs(remaining: Sequence, inv: Sequence | Mapping) -> Iterator[list[frozenset]]:
+    """The fresh classes holding the least of the sorted, star-closed
+    ``remaining``; ``inv[g]`` is the inverse of g.
 
     A self-inverse class is the least element, its inverse and any union of
     whole inverse pairs {g, g^-1}.  A class disjoint from its star holds the
@@ -205,32 +205,30 @@ def is_traditional(P: SchurPresentation) -> Recipe:
 # -- windowed enumeration over Z x Z_3 ----------------------------------------
 
 
-def _set_partitions(items: Sequence) -> Iterator[list[frozenset]]:
-    items = sorted(items)
-    if not items:
-        yield []
-        return
-    for [cls] in _subsets(items):
-        for sub in _set_partitions([x for x in items if x not in cls]):
-            yield [cls] + sub
-
-
 def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[frozenset, ...]]:
     """The class layouts of the z-levels +-k, sorted.
 
     A layout is a star-closed set partition of the torsion cosets at +-k (less
     the identity) whose every class projects modulo torsion onto one class of
     the ``mode`` ring over Z: {k} or {-k} if discrete, {k, -k} if symmetric.
-    At level 0 both modes give the two partitions of {a, a^2}.
+    Layouts grow class by class from :func:`_star_pairs`, a class with another
+    shadow ending its branch, and list their classes by least element.  At
+    level 0 both modes give the two partitions of {a, a^2}.
     """
     shadows = [{k}, {-k}] if mode == "discrete" else [{k, -k}]
     slab = (group.coset_of_torsion(k) | group.coset_of_torsion(-k)) - {group.identity}
-    out = [
-        tuple(parts)
-        for parts in _set_partitions(slab)
-        if all(shadow(c) in shadows for c in parts)
-        and {star(c, group) for c in parts} == set(parts)
-    ]
+    inv = {g: group.inverse(g) for g in slab}
+
+    def layouts(remaining: list) -> Iterator[list[frozenset]]:
+        if not remaining:
+            yield []
+            return
+        for fresh in _star_pairs(remaining, inv):
+            if all(shadow(c) in shadows for c in fresh):
+                for rest in layouts(sorted(set(remaining).difference(*fresh))):
+                    yield fresh + rest
+
+    out = [tuple(sorted(parts, key=min)) for parts in layouts(sorted(slab))]
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
 
 
@@ -238,41 +236,38 @@ def enumerate_windowed(
     window: int,
     projection: str | None = None,
 ) -> list[SchurPresentation]:
-    """All window-consistent partitions of the window of Z x Z_3.
+    """The partitions of the window of Z x Z_3 on which every product of two
+    classes, in the window or not, is constant on every class, and which pass
+    verify_axioms.
 
     The search uses the axioms alone.  It lays out the classes level by level
     from z^0 (:func:`_level_candidates`): {1} is a class, classes are
     star-closed, and each class projects modulo torsion onto one class of the
     discrete or symmetric ring over Z, so the torsion subgroup is an
-    S-subgroup.  A branch is cut when an in-window product is not constant on
-    a class (:func:`_closed`), and verify_axioms decides each leaf.  None of
-    the paper's lemmas shapes the search; they are checked on finished rings
+    S-subgroup.  Level k's frontier is each prefix of the one below, in
+    order, extended by each layout of level k that passes :func:`_closed`;
+    verify_axioms decides each member of the last frontier.  None of the
+    paper's lemmas shapes the search; they are checked on finished rings
     (``check-lemmas``).  ``projection`` filters to one projection type.
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")
     group = GroupDescriptor(0, 3)
+    identity = frozenset([group.identity])
+    multiply = partial(class_product, group=group)
     results = []
-
-    def multiply(c: frozenset, d: frozenset) -> dict:
-        return class_product(c, d, group)
-
-    def extend(classes: list[frozenset], level: int, candidates: list, member: dict) -> None:
-        if level > window:
-            P = SchurPresentation(group, classes, window=window)
-            if verify_axioms(P).ok:
-                results.append(P)
-            return
-        for layout in candidates[level]:
-            extended = classes + list(layout)
-            grown = member | {g: c for c in layout for g in c}
-            if _closed(extended, layout, multiply, grown):
-                extend(extended, level + 1, candidates, grown)
-
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
-        candidates = [_level_candidates(group, k, mode) for k in range(window + 1)]
-        identity = frozenset([group.identity])
-        extend([identity], 0, candidates, {group.identity: identity})
+        frontier = [([identity], {group.identity: identity})]
+        for k in range(window + 1):
+            layouts, previous, frontier = _level_candidates(group, k, mode), frontier, []
+            for classes, member in previous:
+                for layout in layouts:
+                    extended = classes + list(layout)
+                    grown = member | {g: c for c in layout for g in c}
+                    if _closed(extended, layout, multiply, grown):
+                        frontier.append((extended, grown))
+        leaves = (SchurPresentation(group, classes, window=window) for classes, _ in frontier)
+        results += [P for P in leaves if verify_axioms(P).ok]
     return results

@@ -182,8 +182,8 @@ class VerificationReport(Record):
 
 
 def check_partition(P: SchurPresentation) -> None:
-    """Raise MalformedPartition on empty classes, overlaps, gaps, or elements
-    outside the window."""
+    """Raise MalformedPartition on empty classes, overlaps, gaps, elements
+    outside the window, or a finite group with a window other than 0."""
     total = 0
     for c in P.classes:
         if not c:
@@ -200,6 +200,8 @@ def check_partition(P: SchurPresentation) -> None:
                 f"{format_element(min(outside))} lies outside window {P.window}"
             )
         universe = P.group.window_elements(P.window)
+    elif P.window != 0:
+        raise MalformedPartition(f"a finite group takes window 0, not {P.window}")
     else:
         universe = P.group.elements()
     missing = next((g for g in universe if g not in P._member_class), None)

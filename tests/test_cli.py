@@ -49,12 +49,19 @@ OUT_OF_WINDOW = {
     "window": 3,
     "classes": [[[z, a]] for z in range(-3, 4) for a in range(3)] + [[[5, 0]], [[-5, 0]]],
 }
+# Z5 with the two inverse pairs as classes: a ring, but a finite group has no window
+FINITE_WINDOW = {
+    "group": {"free": 1, "torsion": 5},
+    "window": -3,
+    "classes": [[[0, 0]], [[0, 1], [0, 4]], [[0, 2], [0, 3]]],
+}
 INPUTS = {
     "array": [],
     "group5": {"group": 5, "window": 1, "classes": []},
     "classes5": {"group": {"free": "Z", "torsion": 3}, "window": 1, "classes": 5},
     "float_exponent": FLOAT_EXPONENT,
     "out_of_window": OUT_OF_WINDOW,
+    "finite_window": FINITE_WINDOW,
     "huge_window": {**ZZ1, "window": 10**12},
     **{f"window_{name}": {**ZZ1, "window": value}
        for name, value in (("bool", True), ("float", 1.0), ("string", "1"))},
@@ -96,7 +103,8 @@ MALFORMED = [
       for text in ("Z0", "ZxZ0", "Z3xZ0")],
     *[pytest.param([*command.split(), f"@{name}"], {}, id=f"{command}-{name}")
       for command in ("verify", "classify", "check-lemmas")
-      for name in ("array", "group5", "classes5", "float_exponent", "deep", "huge_window")],
+      for name in ("array", "group5", "classes5", "float_exponent", "deep", "huge_window",
+                   "finite_window")],
     *[pytest.param(["verify", f"@{field}_{kind}"], {}, id=f"verify-{field}-{kind}")
       for field in ("window", "torsion") for kind in ("bool", "float", "string")],
     *[pytest.param([*command.split(), "@out_of_window"], {}, id=f"{command}-out-of-window")
@@ -512,6 +520,7 @@ class TestEntryPoint:
         [
             (["construct", "--kind", "discrete", "--params", "{bad"], ""),
             (["--json", "verify", "-"], "[]"),
+            (["--json", "verify", "-"], json.dumps(FINITE_WINDOW)),
         ],
     )
     def test_malformed_exits_two(self, argv, stdin):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -26,9 +27,9 @@ from sring import (
 )
 from sring.cli import parse_group
 from sring.constructions import _direct_product
-from sring.enumeration import MAX_WINDOW, _level_candidates, _set_partitions, _star_pairs
+from sring.enumeration import MAX_WINDOW, _level_candidates, _star_pairs
 from sring.groups import close_automorphisms
-from sring.schur import star
+from sring.schur import shadow, star
 
 # enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded while the window search still pruned with
@@ -36,9 +37,30 @@ from sring.schur import star
 # as well.
 WINDOWED_GOLDEN = json.loads((Path(__file__).parent / "windowed_golden.json").read_text())
 
+# SHA-256 of the lines that `sring --json enumerate --windowed w` prints for
+# enumerate_windowed(w, projection), summary line excluded, for w = 1-12; keyed
+# "<w> <projection>" with "all" for no projection.  Recorded on the recursive
+# search over set-partition layouts, before layouts came from star pairs.
+WINDOWED_SHA256 = json.loads((Path(__file__).parent / "windowed_sha256.json").read_text())
+
 # enumerate_finite(G) as [P.to_json() for P in ...], keyed by the CLI group
 # label; recorded with the subset search that tried every 2^(r-1) subset.
 FINITE_GOLDEN = json.loads((Path(__file__).parent / "finite_golden.json").read_text())
+
+
+def _set_partitions(items):
+    """Every set partition of ``items``, each class listed by its least
+    element; filtered, the reference definition of a level layout."""
+    items = sorted(items)
+    if not items:
+        yield []
+        return
+    least, rest = items[0], items[1:]
+    for mask in range(2 ** len(rest)):
+        cls = frozenset([least] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
+        for sub in _set_partitions([x for x in rest if x not in cls]):
+            yield [cls] + sub
+
 
 # Counts below with no literature anchor were frozen from the first verified
 # run (pruned and unpruned searches agree, and every member passes both
@@ -481,6 +503,33 @@ class TestEnumerateWindowed:
         modes = [projection] if projection else ["discrete", "symmetric"]
         expected = [P for mode in modes for P in golden[f"{window} {mode}"]]
         assert [P.to_json() for P in enumerate_windowed(window, projection)] == expected
+
+    @pytest.mark.parametrize("window", range(1, MAX_WINDOW + 1))
+    @pytest.mark.parametrize("projection", [None, "discrete", "symmetric"])
+    def test_output_digest(self, window, projection):
+        lines = "".join(
+            json.dumps(P.to_json(), sort_keys=True) + "\n"
+            for P in enumerate_windowed(window, projection)
+        )
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == WINDOWED_SHA256[f"{window} {projection or 'all'}"]
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("mode", ["discrete", "symmetric"])
+    def test_level_candidates_are_the_star_closed_set_partitions(self, G, k, mode):
+        # the definition: every set partition of the slab at z^+-k, less the
+        # identity, that is star-closed and whose classes project onto the
+        # mode's shadows, sorted; classes in the order of their least element
+        shadows = [{k}, {-k}] if mode == "discrete" else [{k, -k}]
+        slab = (G.coset_of_torsion(k) | G.coset_of_torsion(-k)) - {G.identity}
+        expected = [
+            tuple(parts)
+            for parts in _set_partitions(slab)
+            if all(shadow(c) in shadows for c in parts)
+            and {star(c, G) for c in parts} == set(parts)
+        ]
+        expected.sort(key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
+        assert _level_candidates(G, k, mode) == expected
 
 
     @pytest.mark.parametrize("k", range(5))

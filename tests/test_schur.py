@@ -98,6 +98,18 @@ class TestVerification:
             with pytest.raises(MalformedPartition, match="outside window 1"):
                 verify(P)
 
+    @pytest.mark.parametrize("window", [-3, 1])
+    def test_malformed_finite_window(self, window):
+        # a finite group has no window: any other value than 0 is rejected,
+        # though the same classes with window 0 are a valid ring over Z5
+        G = GroupDescriptor(1, 5)
+        classes = [[(0, 0)], [(0, 1), (0, 4)], [(0, 2), (0, 3)]]
+        assert verify_axioms(SchurPresentation(G, classes)).ok
+        P = SchurPresentation(G, classes, window=window)
+        for verify in (verify_axioms, verify_wielandt):
+            with pytest.raises(MalformedPartition, match=f"window 0, not {window}"):
+                verify(P)
+
     def test_malformed_overlap(self, Z3):
         with pytest.raises(MalformedPartition):
             verify_axioms(
