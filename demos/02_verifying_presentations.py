@@ -26,8 +26,8 @@ report = verify_axioms(broken)
 print("broken partition over Z_4:", report.verdict)
 print("   witness:", report.witness.kind, "-", report.witness.detail)
 
-# windowed verification over the infinite group: products are checked only
-# when they provably stay inside the window
+# windowed verification over the infinite group: every product of two classes
+# is checked on the window, where its coefficients are exact
 G = GroupDescriptor(0, 3)
 P = orbit_ring(G, [named_automorphism("psi", G)], 8)
 report = verify_axioms(P)

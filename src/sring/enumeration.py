@@ -44,6 +44,8 @@ def _closed(
 ) -> bool:
     """Whether each product of a fresh class with a class of ``classes`` is
     constant on every class of ``classes`` it meets; both searches prune on it.
+    A class of ``classes`` stays a class of every partition below the node, so
+    verify_axioms tests the same at each leaf: this only cuts branches early.
 
     ``multiply(c, d)`` counts the class-sum product per element, and
     ``member`` maps each element of ``classes`` to its class.  ``fresh`` are
@@ -236,19 +238,19 @@ def enumerate_windowed(
     window: int,
     projection: str | None = None,
 ) -> list[SchurPresentation]:
-    """The partitions of the window of Z x Z_3 on which every product of two
-    classes, in the window or not, is constant on every class, and which pass
-    verify_axioms.
+    """The star-closed partitions of the window of Z x Z_3 whose classes
+    project onto the classes of a ring over Z, and that verify_axioms
+    accepts: every product of two classes is constant on every class.
 
     The search uses the axioms alone.  It lays out the classes level by level
     from z^0 (:func:`_level_candidates`): {1} is a class, classes are
     star-closed, and each class projects modulo torsion onto one class of the
     discrete or symmetric ring over Z, so the torsion subgroup is an
     S-subgroup.  Level k's frontier is each prefix of the one below, in
-    order, extended by each layout of level k that passes :func:`_closed`;
-    verify_axioms decides each member of the last frontier.  None of the
-    paper's lemmas shapes the search; they are checked on finished rings
-    (``check-lemmas``).  ``projection`` filters to one projection type.
+    order, extended by each layout of level k that passes :func:`_closed`,
+    which only prunes; verify_axioms decides each member of the last frontier.
+    None of the paper's lemmas shapes the search; they are checked on finished
+    rings (``check-lemmas``).  ``projection`` filters to one projection type.
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")

@@ -1,9 +1,11 @@
 """Schur presentations: axiom verification, S-sets, S-subgroups, quotients.
 
 A presentation is a finite-support partition of a group (or of a window of an
-infinite group) claiming to span a Schur ring.  Verification is exact; for
-windowed presentations a product check runs only when it provably stays
-inside the window, so truncation can never produce a false negative.
+infinite group) claiming to span a Schur ring.  Verification is exact and
+checks every pair of classes.  On a window, "valid-up-to-window" means that
+every class-sum product is constant on every class of the window: the product
+may reach past the window, but the coefficient of an element of the window
+counts pairs from the two classes alone, so it is exact there.
 
 Class sums have non-negative integer coefficients.  :func:`verify_axioms`
 takes one row pass per class c: it reads the class labels of x^-1 g for every
@@ -17,10 +19,9 @@ multiplier checks; only the lemma checks that build ring elements load
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import compress, islice
 from operator import itemgetter, ne
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
     BadPrime,
@@ -209,21 +210,6 @@ def check_partition(P: SchurPresentation) -> None:
         raise MalformedPartition(f"group not covered, e.g. {format_element(missing)}")
 
 
-def _checkable_pairs(P: SchurPresentation) -> Iterator[tuple[frozenset, frozenset]]:
-    """Unordered class pairs whose product provably stays inside the window."""
-    classes = P.classes
-    if P.group.is_infinite:
-        reaches = {c: reach(c) for c in classes}
-        for i, c in enumerate(classes):
-            for d in classes[i:]:
-                if reaches[c] + reaches[d] <= P.window:
-                    yield c, d
-    else:
-        for i, c in enumerate(classes):
-            for d in classes[i:]:
-                yield c, d
-
-
 def class_product(
     c: Iterable[GroupElement], d: Iterable[GroupElement], group: GroupDescriptor
 ) -> dict:
@@ -310,9 +296,10 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
     every class, one row pass per class c: the coefficient of g in c.d is the
     number of x in c with x^-1 g in d, so c passes against every d at once when
     all elements of a class see the same multiset of labels.  A row whose star
-    row has passed is skipped.  On a window only the pairs with reach(c) +
-    reach(d) <= window count.  Deterministic: the witness is the least failing
-    pair in canonical scan order, and ``checked_pairs`` counts the pairs up to it.
+    row has passed is skipped.  On a window every pair counts, and an x^-1 g
+    past the window has no label, so each class of the window is tested on its
+    exact coefficients.  Deterministic: the witness is the least failing pair
+    in canonical scan order, and ``checked_pairs`` counts the pairs up to it.
     """
     check_partition(P)
     identity_class = P.class_of(P.group.identity)
@@ -356,7 +343,7 @@ def _product_rows(P: SchurPresentation) -> tuple[int, tuple | None]:
     """The checked pairs, and the first pair (c, d) in scan order whose
     product is not constant on a class (None if there is none)."""
     classes, (n, m) = P.classes, (P.group.free_order, P.group.torsion_order)
-    w, reaches = (0, [0] * len(classes)) if n else (P.window, [reach(c) for c in classes])
+    k, w = len(classes), P.window
     s, size = (n, n * m) if n else (w, (2 * w + 1) * m)  # s: the window's first block in labels
     base = [-1] * size  # class index per element of the window, in window order
     for i, c in enumerate(classes):
@@ -368,28 +355,19 @@ def _product_rows(P: SchurPresentation) -> tuple[int, tuple | None]:
     joined = [p + 1 < len(e) for e in big for p in range(len(e))]  # g and the next g share a class
     gathers = [itemgetter(*[(z + s - n) * m + (a - r) % m for e in big for z, a in e])
                for r in range(m)] if big else ()
-    masks = {w: labels}  # reach limit -> labels, -1 for the classes that reach past it
     for i, c in enumerate(classes if big else ()):
         z, a = next(iter(c))
         if labels[(2 * s - n - z) * m + -a % m] < i:  # c.d = (c*.d*)*, and row c* passed
             continue
-        limit = w - reaches[i]
-        if limit not in masks:
-            keep = [j if r <= limit else -1 for j, r in enumerate(reaches)] + [-1]
-            masks[limit] = list(map(keep.__getitem__, labels))
-        row = masks[limit]
-        cols = [gathers[a](row[(s - z) * m:(s - z) * m + size]) for z, a in c]
+        cols = [gathers[a](labels[(s - z) * m:(s - z) * m + size]) for z, a in c]
         keys = cols[0] if len(cols) == 1 else list(map(sorted, zip(*cols)))
         if any(compress(map(ne, keys, keys[1:]), joined)):
             seen = iter(zip(*cols))  # the labels of each g, class by class
             first = min(d for ts in [list(islice(seen, len(e))) for e in big]
                         for d in set().union(*ts) if d >= 0 and len({t.count(d) for t in ts}) > 1)
-            before = sum(r + t <= w for j, r in enumerate(reaches[:i]) for t in reaches[j:])
-            pairs = before + sum(reaches[i] + t <= w for t in reaches[i:first + 1])
-            return pairs, (c, classes[first])
-    ordered = sorted(reaches)
-    both = sum(bisect_right(ordered, w - r) for r in reaches) + sum(2 * r <= w for r in reaches)
-    return both // 2, None  # ordered pairs plus the diagonal, halved
+            # rows before i hold i*k - i(i-1)/2 pairs; row i reaches (c, classes[first])
+            return i * k - i * (i - 1) // 2 + first - i + 1, (c, classes[first])
+    return k * (k + 1) // 2, None
 
 
 def _fmt_class(c: Iterable[GroupElement]) -> str:
@@ -405,8 +383,9 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
     """Alternative verification: span closed under Hadamard and star,
     contains the identity, supports cover the group.
 
-    Ring closure is tested through the level-set route: every coefficient
-    level set of every product must be a union of classes.  Must agree with
+    Ring closure is tested through the level-set route: for every pair of
+    classes, each coefficient level set of their product, cut to the
+    elements of the window, must be a union of classes.  Must agree with
     :func:`verify_axioms`.
     """
     check_partition(P)
@@ -436,22 +415,20 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
                 ),
             )
 
-    member = P._member_class
+    member, classes = P._member_class, P.classes
     pairs = 0
-    for c, d in _checkable_pairs(P):
-        pairs += 1
-        for v, part in _group_by_value(class_product(c, d, P.group)):
-            if not is_union(part, member):
-                return _report(
-                    P,
-                    pairs,
-                    Witness(
-                        "product-closure",
-                        _class_key(c),
-                        _class_key(d),
-                        f"coefficient level set for value {v} is not an S-set",
-                    ),
-                )
+    for i, c in enumerate(classes):
+        for d in classes[i:]:
+            pairs += 1
+            levels: dict = {}  # coefficient -> the elements of the window that take it
+            for g, v in class_product(c, d, P.group).items():
+                if g in member:
+                    levels.setdefault(v, set()).add(g)
+            for v in sorted(levels):
+                if not is_union(levels[v], member):
+                    detail = f"coefficient level set for value {v} is not an S-set"
+                    witness = Witness("product-closure", _class_key(c), _class_key(d), detail)
+                    return _report(P, pairs, witness)
     return _report(P, pairs)
 
 

@@ -55,6 +55,12 @@ FINITE_WINDOW = {
     "window": -3,
     "classes": [[[0, 0]], [[0, 1], [0, 4]], [[0, 2], [0, 3]]],
 }
+# {1}, {a, a^2}, {z^-1, z a^2}, {z^-1 a, z}, {z^-1 a^2, z a}: no Schur ring extends it
+WINDOW_1_NOT_A_RING = {
+    "group": {"free": "Z", "torsion": 3},
+    "window": 1,
+    "classes": [[[0, 0]], [[0, 1], [0, 2]], [[-1, 0], [1, 2]], [[-1, 1], [1, 0]], [[-1, 2], [1, 1]]],
+}
 INPUTS = {
     "array": [],
     "group5": {"group": 5, "window": 1, "classes": []},
@@ -203,6 +209,16 @@ class TestConstructVerifyClassify:
         code, out, _ = invoke(capsys, "verify", str(path))
         assert code == 1 and "star-closure" in out
 
+    def test_verify_checks_a_pair_that_reaches_past_the_window(self, capsys, tmp_path):
+        # {z^-1, z a^2}^2 is 2a^2 on window 1, not constant on {a, a^2}
+        path = tmp_path / "w1.json"
+        path.write_text(json.dumps(WINDOW_1_NOT_A_RING))
+        code, out, _ = invoke(capsys, "--json", "verify", str(path))
+        report = json.loads(out)
+        assert code == 1 and report["verdict"] == "invalid"
+        assert report["witness"]["kind"] == "product-closure"
+        assert report["witness"]["left"] == report["witness"]["right"] == [[-1, 0], [1, 2]]
+
     def test_verify_malformed_exit_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"group": oops')
@@ -320,6 +336,16 @@ class TestCheckLemmas:
         path.write_text(json.dumps(data))
         code, out, _ = invoke(capsys, "check-lemmas", str(path))
         assert code == 1 and "FAIL" in out
+
+
+    def test_both_routes_reject_a_pair_that_reaches_past_the_window(self, capsys, tmp_path):
+        path = tmp_path / "w1.json"
+        path.write_text(json.dumps(WINDOW_1_NOT_A_RING))
+        code, out, _ = invoke(capsys, "--json", "check-lemmas", str(path))
+        checks = {check["name"]: check for check in json.loads(out)["checks"]}
+        assert code == 1
+        assert not checks["axioms"]["ok"] and checks["axioms"]["detail"] == "verdict invalid"
+        assert checks["wielandt-agreement"]["ok"]
 
 
 class TestConfigPrecedence:

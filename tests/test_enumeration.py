@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from sring import (
     GroupDescriptor,
     GroupElement,
     InfiniteGroup,
+    SchurPresentation,
     Subgroup,
     build,
     class_stabilizer,
@@ -29,7 +31,7 @@ from sring.cli import parse_group
 from sring.constructions import _direct_product
 from sring.enumeration import MAX_WINDOW, _level_candidates, _star_pairs
 from sring.groups import close_automorphisms
-from sring.schur import shadow, star
+from sring.schur import reach, shadow, star
 
 # enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded while the window search still pruned with
@@ -513,6 +515,32 @@ class TestEnumerateWindowed:
         )
         digest = hashlib.sha256(lines.encode()).hexdigest()
         assert digest == WINDOWED_SHA256[f"{window} {projection or 'all'}"]
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_the_leaf_check_alone_gives_the_census(self, G, window):
+        # with no pruning, the layout combinations that verify_axioms accepts
+        # are exactly the census: _closed only cuts branches early
+        found = set()
+        for mode in ("discrete", "symmetric"):
+            levels = [_level_candidates(G, k, mode) for k in range(window + 1)]
+            for layouts in product(*levels):
+                P = SchurPresentation(G, [[G.identity], *chain(*layouts)], window=window)
+                if verify_axioms(P).ok:
+                    found.add(P)
+        assert found == set(enumerate_windowed(window))
+
+    def test_each_ring_cut_one_level_down_is_a_ring_one_window_down(self):
+        # every ring at window w-1 has one child at window w, except four
+        # with 2, 4, 4 and 5, so the census grows by 11 rings a window
+        census = {w: enumerate_windowed(w) for w in range(1, 9)}
+        for w in range(2, 9):
+            fibres = Counter(
+                SchurPresentation(P.group, [c for c in P.classes if reach(c) < w], window=w - 1)
+                for P in census[w]
+            )
+            assert set(fibres) == set(census[w - 1]), w
+            assert sorted(Counter(fibres.values()).items()) == [
+                (1, 11 * (w - 1)), (2, 1), (4, 2), (5, 1)], w
 
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("mode", ["discrete", "symmetric"])

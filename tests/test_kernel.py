@@ -1,14 +1,16 @@
 """The integer class-product kernel and the verifier reports built on it.
 
 ``class_product`` is checked against the exact group-ring product, which stays
-the reference.  The golden reports (verdict, checked pairs, witness) were
-recorded from the group-ring product path that the kernel replaced, on
-star-closed perturbations of valid rings: two class pairs at one level are
-merged, so the product-closure witness lands in the middle of the scan.  The
-rows at windows 58 and 64 were recorded from the pairwise ``class_product``
-scan, before ``verify_axioms`` took one row pass per class.  On random
-partitions, ``verify_axioms`` (row pass) and ``verify_wielandt`` (pairwise
-level sets) must agree.
+the reference.  The golden reports (verdict, checked pairs, witness) are taken
+on valid rings and on star-closed perturbations of them: two class pairs at one
+level are merged, so the product-closure witness lands inside the scan.  The
+two finite rows were recorded from the group-ring product path that the kernel
+replaced.  The windowed rows come from a plain reference scan
+(:func:`_reference_scan`): every unordered class pair in scan order, multiplied
+with the exact group-ring product, up to the first pair whose product is not
+constant on a class of the window.  The rows up to window 16 are re-derived
+from that scan on every run.  On random partitions, ``verify_axioms`` (row
+pass) and ``verify_wielandt`` (pairwise level sets) must agree.
 """
 
 import json
@@ -29,7 +31,7 @@ from sring import (
     verify_axioms,
     verify_wielandt,
 )
-from sring.schur import class_product, reach, split_class, star
+from sring.schur import _fmt_class, class_product, reach, split_class, star
 
 G = GroupDescriptor(0, 3)
 
@@ -197,54 +199,84 @@ def _cases():
     }
 
 
+def _reference_scan(P):
+    """The pairs checked, the first failing pair and the first class of the
+    window, in element order, that its product is not constant on."""
+    member, pairs = P._member_class, 0
+    for i, c in enumerate(P.classes):
+        for d in P.classes[i:]:
+            pairs += 1
+            prod = (simple_quantity(P.group, c) * simple_quantity(P.group, d)).terms()
+            split = next((member[g] for g in sorted(prod) if g in member
+                          and len({prod.get(h, 0) for h in member[g]}) > 1), None)
+            if split is not None:
+                return pairs, (c, d), split
+    return pairs, None, None
+
+
 # name -> (verify_axioms report, verify_wielandt report), as sorted-key JSON
 GOLDEN = {
-    'discrete-16': ('{"checked_pairs": 2478, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}',
-        '{"checked_pairs": 2478, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}'),
-    'discrete-16-perturbed@6a': ('{"checked_pairs": 256, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a^2}", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 0]]}}',
-        '{"checked_pairs": 256, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 0]]}}'),
-    'discrete-16-perturbed@6b': ('{"checked_pairs": 257, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6*a, z^-6*a^2}", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 1]]}}',
-        '{"checked_pairs": 257, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0]], "right": [[5, 1]]}}'),
-    'discrete-16-perturbed@1': ('{"checked_pairs": 579, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-1*a, z^-1*a^2}", "kind": "product-closure", "left": [[-8, 0]], "right": [[7, 1]]}}',
-        '{"checked_pairs": 579, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-8, 0]], "right": [[7, 1]]}}'),
-    'psi-16': ('{"checked_pairs": 1107, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}',
-        '{"checked_pairs": 1107, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}'),
-    'psi-16-perturbed@6': ('{"checked_pairs": 121, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a, z^-6*a^2}", "kind": "product-closure", "left": [[-11, 0], [-11, 1]], "right": [[5, 0], [5, 2]]}}',
-        '{"checked_pairs": 121, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0], [-11, 1]], "right": [[5, 0], [5, 2]]}}'),
-    'psi-16-perturbed@11': ('{"checked_pairs": 47, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-11, z^-11*a, z^-11*a^2}", "kind": "product-closure", "left": [[-13, 0], [-13, 2]], "right": [[2, 0], [2, 2]]}}',
-        '{"checked_pairs": 47, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-13, 0], [-13, 2]], "right": [[2, 0], [2, 2]]}}'),
-    'symmetric-14': ('{"checked_pairs": 507, "effective_window": 14, "verdict": "valid-up-to-window", "witness": null}',
-        '{"checked_pairs": 507, "effective_window": 14, "verdict": "valid-up-to-window", "witness": null}'),
-    'symmetric-14-perturbed@5': ('{"checked_pairs": 123, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-5, z^-5*a, z^5, z^5*a^2}", "kind": "product-closure", "left": [[-9, 0], [9, 0]], "right": [[-4, 0], [4, 0]]}}',
-        '{"checked_pairs": 123, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-9, 0], [9, 0]], "right": [[-4, 0], [4, 0]]}}'),
-    'symmetric-14-perturbed@9': ('{"checked_pairs": 49, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-9, z^-9*a, z^9, z^9*a^2}", "kind": "product-closure", "left": [[-11, 0], [11, 0]], "right": [[-2, 0], [2, 0]]}}',
-        '{"checked_pairs": 49, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0], [11, 0]], "right": [[-2, 0], [2, 0]]}}'),
-    'delta-xi-16-perturbed@7': ('{"checked_pairs": 63, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-7, z^-7*a, z^-7*a^2, z^7, z^7*a, z^7*a^2}", "kind": "product-closure", "left": [[-11, 0], [-11, 2], [11, 0], [11, 1]], "right": [[-4, 0], [-4, 1], [4, 0], [4, 2]]}}',
-        '{"checked_pairs": 63, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-11, 0], [-11, 2], [11, 0], [11, 1]], "right": [[-4, 0], [-4, 1], [4, 0], [4, 2]]}}'),
-    'wedge-12-perturbed@4': ('{"checked_pairs": 32, "effective_window": 12, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a^2}", "kind": "product-closure", "left": [[-9, 0]], "right": [[3, 0]]}}',
-        '{"checked_pairs": 32, "effective_window": 12, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-9, 0]], "right": [[3, 0]]}}'),
+    'discrete-16': ('{"checked_pairs": 4950, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 4950, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}'),
+    'discrete-16-perturbed@6a': ('{"checked_pairs": 77, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a^2}", "kind": "product-closure", "left": [[-16, 0]], "right": [[10, 0]]}}',
+        '{"checked_pairs": 77, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-16, 0]], "right": [[10, 0]]}}'),
+    'discrete-16-perturbed@6b': ('{"checked_pairs": 78, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6*a, z^-6*a^2}", "kind": "product-closure", "left": [[-16, 0]], "right": [[10, 1]]}}',
+        '{"checked_pairs": 78, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-16, 0]], "right": [[10, 1]]}}'),
+    'discrete-16-perturbed@1': ('{"checked_pairs": 93, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-1*a, z^-1*a^2}", "kind": "product-closure", "left": [[-16, 0]], "right": [[15, 1]]}}',
+        '{"checked_pairs": 93, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-16, 0]], "right": [[15, 1]]}}'),
+    'psi-16': ('{"checked_pairs": 2211, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 2211, "effective_window": 16, "verdict": "valid-up-to-window", "witness": null}'),
+    'psi-16-perturbed@6': ('{"checked_pairs": 51, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a, z^-6*a^2}", "kind": "product-closure", "left": [[-16, 0], [-16, 2]], "right": [[10, 0], [10, 1]]}}',
+        '{"checked_pairs": 51, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-16, 0], [-16, 2]], "right": [[10, 0], [10, 1]]}}'),
+    'psi-16-perturbed@11': ('{"checked_pairs": 42, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-11, z^-11*a, z^-11*a^2}", "kind": "product-closure", "left": [[-16, 0], [-16, 2]], "right": [[5, 0], [5, 2]]}}',
+        '{"checked_pairs": 42, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-16, 0], [-16, 2]], "right": [[5, 0], [5, 2]]}}'),
+    'symmetric-14': ('{"checked_pairs": 990, "effective_window": 14, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 990, "effective_window": 14, "verdict": "valid-up-to-window", "witness": null}'),
+    'symmetric-14-perturbed@5': ('{"checked_pairs": 16, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-5, z^-5*a, z^5, z^5*a^2}", "kind": "product-closure", "left": [[-14, 0], [14, 0]], "right": [[-9, 0], [9, 0]]}}',
+        '{"checked_pairs": 16, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-14, 0], [14, 0]], "right": [[-9, 0], [9, 0]]}}'),
+    'symmetric-14-perturbed@9': ('{"checked_pairs": 27, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-9, z^-9*a, z^9, z^9*a^2}", "kind": "product-closure", "left": [[-14, 0], [14, 0]], "right": [[-5, 0], [5, 0]]}}',
+        '{"checked_pairs": 27, "effective_window": 14, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-14, 0], [14, 0]], "right": [[-5, 0], [5, 0]]}}'),
+    'delta-xi-16-perturbed@7': ('{"checked_pairs": 15, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-7, z^-7*a, z^-7*a^2, z^7, z^7*a, z^7*a^2}", "kind": "product-closure", "left": [[-16, 0], [-16, 1], [16, 0], [16, 2]], "right": [[-9, 0], [9, 0]]}}',
+        '{"checked_pairs": 15, "effective_window": 16, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-16, 0], [-16, 1], [16, 0], [16, 2]], "right": [[-9, 0], [9, 0]]}}'),
+    'wedge-12-perturbed@4': ('{"checked_pairs": 30, "effective_window": 12, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-6, z^-6*a^2}", "kind": "product-closure", "left": [[-12, 0]], "right": [[6, 0], [6, 1]]}}',
+        '{"checked_pairs": 30, "effective_window": 12, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-12, 0]], "right": [[6, 0], [6, 1]]}}'),
     'Z12-merged': ('{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "product is not constant on class {a^2, a^5}", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}',
         '{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}'),
     'Z2xZ6-merged': ('{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "product is not constant on class {a^2, z*a^5}", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}',
         '{"checked_pairs": 11, "effective_window": null, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[0, 1]], "right": [[0, 1]]}}'),
-    'discrete-64': ('{"checked_pairs": 37542, "effective_window": 64, "verdict": "valid-up-to-window", "witness": null}',
-        '{"checked_pairs": 37542, "effective_window": 64, "verdict": "valid-up-to-window", "witness": null}'),
-    'discrete-64-perturbed@25': ('{"checked_pairs": 3718, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-25, z^-25*a^2}", "kind": "product-closure", "left": [[-44, 0]], "right": [[19, 0]]}}',
-        '{"checked_pairs": 3718, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-44, 0]], "right": [[19, 0]]}}'),
-    'discrete-64-perturbed@26': ('{"checked_pairs": 3364, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-26, z^-26*a^2}", "kind": "product-closure", "left": [[-45, 0]], "right": [[19, 0]]}}',
-        '{"checked_pairs": 3364, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-45, 0]], "right": [[19, 0]]}}'),
-    'psi-58': ('{"checked_pairs": 13749, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}',
-        '{"checked_pairs": 13749, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}'),
-    'psi-58-perturbed@23': ('{"checked_pairs": 1367, "effective_window": 58, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-23, z^-23*a, z^-23*a^2}", "kind": "product-closure", "left": [[-40, 0], [-40, 2]], "right": [[17, 0], [17, 2]]}}',
-        '{"checked_pairs": 1367, "effective_window": 58, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-40, 0], [-40, 2]], "right": [[17, 0], [17, 2]]}}'),
-    'sigma-58': ('{"checked_pairs": 8010, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}',
-        '{"checked_pairs": 8010, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}'),
+    'discrete-64': ('{"checked_pairs": 75078, "effective_window": 64, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 75078, "effective_window": 64, "verdict": "valid-up-to-window", "witness": null}'),
+    'discrete-64-perturbed@25': ('{"checked_pairs": 308, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-25, z^-25*a^2}", "kind": "product-closure", "left": [[-64, 0]], "right": [[39, 0]]}}',
+        '{"checked_pairs": 308, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-64, 0]], "right": [[39, 0]]}}'),
+    'discrete-64-perturbed@26': ('{"checked_pairs": 305, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-26, z^-26*a^2}", "kind": "product-closure", "left": [[-64, 0]], "right": [[38, 0]]}}',
+        '{"checked_pairs": 305, "effective_window": 64, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-64, 0]], "right": [[38, 0]]}}'),
+    'psi-58': ('{"checked_pairs": 27495, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 27495, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}'),
+    'psi-58-perturbed@23': ('{"checked_pairs": 185, "effective_window": 58, "verdict": "invalid", "witness": {"detail": "product is not constant on class {z^-23, z^-23*a, z^-23*a^2}", "kind": "product-closure", "left": [[-58, 0], [-58, 2]], "right": [[35, 0], [35, 2]]}}',
+        '{"checked_pairs": 185, "effective_window": 58, "verdict": "invalid", "witness": {"detail": "coefficient level set for value 1 is not an S-set", "kind": "product-closure", "left": [[-58, 0], [-58, 2]], "right": [[35, 0], [35, 2]]}}'),
+    'sigma-58': ('{"checked_pairs": 15753, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}',
+        '{"checked_pairs": 15753, "effective_window": 58, "verdict": "valid-up-to-window", "witness": null}'),
 }
 
 
 class TestGoldenReports:
     def test_cases_are_pinned(self):
         assert set(_cases()) == set(GOLDEN)
+
+    def test_windowed_rows_match_the_reference_scan(self):
+        for name, P in _cases().items():
+            if not P.group.is_infinite or P.window > 16:
+                continue
+            report = json.loads(GOLDEN[name][0])
+            pairs, pair, split = _reference_scan(P)
+            assert report["checked_pairs"] == pairs, name
+            if pair is None:
+                assert report["witness"] is None, name
+                continue
+            witness = report["witness"]
+            assert [witness["left"], witness["right"]] == [
+                [list(g) for g in sorted(c)] for c in pair], name
+            assert witness["detail"] == f"product is not constant on class {_fmt_class(split)}"
 
     def test_reports_match(self):
         for name, P in _cases().items():

@@ -34,6 +34,13 @@ from sring.schur import (
 )
 
 
+# {1}, {a, a^2}, {z^-1, z a^2}, {z^-1 a, z}, {z^-1 a^2, z a}: star-closed, but
+# no Schur ring over Z x Z_3 extends it
+WINDOW_1_NOT_A_RING = [
+    [(0, 0)], [(0, 1), (0, 2)], [(-1, 0), (1, 2)], [(-1, 1), (1, 0)], [(-1, 2), (1, 1)],
+]
+
+
 class TestVerification:
     def test_discrete_z6_valid_both_routes(self):
         Z6 = GroupDescriptor(1, 6)
@@ -76,13 +83,36 @@ class TestVerification:
         assert report.checked_pairs > 0
 
     def test_windowed_product_never_out_of_reach(self, G):
-        # stretched class breaks products, caught exactly in-window
+        # {z^-3, z^3}{a} = z^-3 a + z^3 a meets {z^-3 a, z^3 a^2} in z^-3 a only
         classes = [[(0, 0)], [(0, 1)], [(0, 2)]]
         for k in range(1, 4):
             for i in range(3):
                 classes.append([(k, i), (-k, i)] if i == 0 else [(k, i), (-k, (3 - i) % 3)])
         P = SchurPresentation(G, classes, window=3)
-        assert verify_axioms(P).verdict in ("valid-up-to-window", "invalid")
+        assert verify_axioms(P).to_json() == {
+            "verdict": "invalid",
+            "checked_pairs": 11,
+            "effective_window": 3,
+            "witness": {
+                "kind": "product-closure",
+                "left": [[-3, 0], [3, 0]],
+                "right": [[0, 1]],
+                "detail": "product is not constant on class {z^-3*a, z^3*a^2}",
+            },
+        }
+        report = verify_wielandt(P)
+        assert (report.verdict, report.checked_pairs) == ("invalid", 11)
+        assert (report.witness.left, report.witness.right) == (((-3, 0), (3, 0)), ((0, 1),))
+
+    def test_a_pair_reaching_past_the_window_is_checked_on_it(self, G):
+        # {z^-1, z a^2}^2 = z^-2 + 2a^2 + z^2 a: on window 1 it is 2a^2, not
+        # constant on {a, a^2}, though the product reaches z^-2 and z^2
+        P = SchurPresentation(G, WINDOW_1_NOT_A_RING, window=1)
+        for verify in (verify_axioms, verify_wielandt):
+            report = verify(P)
+            assert report.verdict == "invalid", verify.__name__
+            assert report.witness.kind == "product-closure"
+            assert report.witness.left == report.witness.right == ((-1, 0), (1, 2))
 
     def test_malformed_gap(self, Z3):
         with pytest.raises(MalformedPartition):
