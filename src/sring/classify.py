@@ -32,10 +32,8 @@ from .groups import (
 from .schur import (
     SchurPresentation,
     check_partition,
-    class_shape_holds,
     class_stabilizer,
     is_ssubgroup,
-    power_in_subgroup_holds,
     restrict,
     shadow,
     torsion_is_ssubgroup,
@@ -157,8 +155,9 @@ def classify(P: SchurPresentation) -> Recipe:
     inputs, the structure theorem rules out): an orbit recipe, with no
     generators for the full ring, or a wedge over the torsion subgroup.  A
     partition with a gap or an overlap raises MalformedPartition.  Windows
-    below 3 are rejected; 12 is the recommended minimum for full-confidence
-    answers.
+    below 3 are rejected.  Re-synthesis certifies any answer; a small window
+    costs uniqueness only: a torsion wedge (every level full) shares its
+    window with 1, 3, 3 or 4 wedges of step window + 1.
     """
     check_partition(P)
     _require_group(P)
@@ -166,14 +165,7 @@ def classify(P: SchurPresentation) -> Recipe:
         raise WindowTooSmall(
             f"window {P.window} < {MIN_CLASSIFY_WINDOW}; classification needs to see the classes of z, z^2, z^3"
         )
-    mode = projection_type(P)  # validates torsion + dichotomy guards
-    ok, msg = class_shape_holds(P)
-    if not ok:
-        raise Unclassifiable(f"class-shape dichotomy fails: {msg}")
-    recipe = _classify_core(P, mode)
-    ok, msg = power_in_subgroup_holds(P, find_H(P))
-    if not ok:
-        raise Unclassifiable(f"small-class power rule fails: {msg}")
+    recipe = _classify_core(P, projection_type(P))
     if resynthesize(recipe, P.window).classes != P.classes:
         raise Unclassifiable(
             f"descriptor {describe_recipe(recipe)} does not reproduce the presentation"

@@ -7,7 +7,6 @@ the classifier at desk scale.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, partial
 from itertools import chain, product
 from typing import Callable, Iterator, Mapping, Sequence
@@ -16,19 +15,15 @@ from .constructions import Recipe, _direct_product, wedge
 from .errors import BoundExceeded, InfiniteGroup
 from .groups import (
     GroupDescriptor,
-    Subgroup,
     all_subgroups,
     canonical_generators,
 )
 from .schur import (
     SchurPresentation,
-    VALID,
-    class_product,
     class_stabilizer,
     quotient,
     restrict,
     shadow,
-    split_class,
     verify_axioms,
 )
 
@@ -39,26 +34,27 @@ MAX_WINDOW = 12
 # -- exhaustive enumeration over finite groups --------------------------------
 
 
-def _closed(
-    classes: list[frozenset], fresh: Sequence[frozenset], multiply: Callable, member: dict
-) -> bool:
-    """Whether each product of a fresh class with a class of ``classes`` is
-    constant on every class of ``classes`` it meets; both searches prune on it.
-    A class of ``classes`` stays a class of every partition below the node, so
-    verify_axioms tests the same at each leaf: this only cuts branches early.
+def _closed(classes: list[frozenset], start: int, row: Callable) -> bool:
+    """Whether each class triple completed by the fresh ``classes[start:]``
+    is product-closed; exact, so a leaf that passes at every node is a ring.
 
-    ``multiply(c, d)`` counts the class-sum product per element, and
-    ``member`` maps each element of ``classes`` to its class.  ``fresh`` are
-    the classes just added, which end ``classes``; pairs of older classes
-    were tested when the younger of the two was added.  ``classes[0]`` is the
-    identity class, skipped since C{1} = C is constant on C.
+    ``row(r, g)`` lists the class index of x^-1 g over x in r (-1 if unplaced
+    or off the window, as verify_axioms reads it).  g in r.d has coefficient
+    #{x in r : x^-1 g in d}, so r.d is constant on e for all placed d when
+    every g in e sees one multiset of labels; a leaf only splits -1, so no
+    ring lies below a failing node.  A triple (c, d, e) is tested when its
+    last class is placed: at the pair (c, e) if that is c or e, else at
+    (d, e) since c.d = d.c.  So each pair (r, e) with r or e fresh is tested,
+    less r = classes[0] = {1} and singleton e.
     """
-    start = len(classes) - len(fresh)
-    return all(
-        split_class(multiply(classes[i], d), member) is None
-        for i in range(start, len(classes))
-        for d in classes[1 : i + 1]
-    )
+    for i, r in enumerate(classes[1:], 1):
+        for e in classes[1:] if i >= start else classes[start:]:
+            if len(e) > 1:
+                g, *rest = e
+                first = sorted(row(r, g))
+                if any(sorted(row(r, h)) != first for h in rest):
+                    return False
+    return True
 
 
 def _star_pairs(remaining: Sequence, inv: Sequence | Mapping) -> Iterator[list[frozenset]]:
@@ -100,10 +96,10 @@ def enumerate_finite(
     elements holding it.  With ``prune`` only star-closed classes or
     class-and-star pairs are tried (:func:`_star_pairs`), which are exactly
     the subsets that pass the star axiom; so the unassigned elements stay
-    star-closed and no ring is lost.  A branch is also cut when a product
-    with a fresh class is not constant on some class (:func:`_closed`).  The
-    final arbiter is verify_axioms either way, so both modes return the same
-    list.
+    star-closed and no ring is lost.  A branch is also cut when a class
+    triple it completes fails product closure (:func:`_closed`), which is
+    exact, so every leaf is a ring.  The final arbiter is verify_axioms
+    either way, so both modes return the same list.
     """
     if group.is_infinite:
         raise InfiniteGroup("enumeration needs a finite group")
@@ -113,27 +109,33 @@ def enumerate_finite(
     elems = sorted(group.elements())
     index = {g: i for i, g in enumerate(elems)}
     inv = [index[-z % n, -a % m] for z, a in elems]
-    table = [[index[(z + y) % n, (a + b) % m] for y, b in elems] for z, a in elems]
+    # over[g][x] is x^-1 g, and labels[h] the index of h's class (-1 unplaced)
+    over = [[index[(z - y) % n, (a - b) % m] for y, b in elems] for z, a in elems]
+    labels = [0] + [-1] * (len(elems) - 1)
     results: list[SchurPresentation] = []
 
-    def multiply(c: frozenset, d: frozenset) -> Counter:
-        return Counter([table[x][y] for x in c for y in d])
+    def row(r: frozenset, g: int) -> list[int]:
+        return [labels[over[g][x]] for x in r]
 
-    def extend(classes: list[frozenset], remaining: tuple[int, ...], member: dict) -> None:
-        """Search below a node; ``member`` maps each element of ``classes`` to its class."""
+    def extend(classes: list[frozenset], remaining: tuple[int, ...]) -> None:
+        """Search below a node whose classes are labelled in ``labels``."""
         if not remaining:
             P = SchurPresentation(group, [[elems[i] for i in c] for c in classes])
-            if verify_axioms(P).verdict == VALID:
+            if verify_axioms(P).ok:
                 results.append(P)
             return
         for fresh in _star_pairs(remaining, inv) if prune else _subsets(remaining):
             extended = classes + fresh
-            grown = member | {g: c for c in fresh for g in c}
-            if not prune or _closed(extended, fresh, multiply, grown):
-                extend(extended, tuple(g for g in remaining if g not in grown), grown)
+            for i, c in enumerate(fresh, len(classes)):
+                for g in c:
+                    labels[g] = i
+            if not prune or _closed(extended, len(classes), row):
+                extend(extended, tuple(g for g in remaining if labels[g] < 0))
+            for c in fresh:
+                for g in c:
+                    labels[g] = -1
 
-    identity = frozenset([0])
-    extend([identity], tuple(range(1, len(elems))), {0: identity})
+    extend([frozenset([0])], tuple(range(1, len(elems))))
     return sorted(results, key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
 
 
@@ -234,6 +236,12 @@ def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[f
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
 
 
+def _window_row(labels: dict, r: frozenset, g: tuple) -> list[int]:
+    """:func:`_closed`'s row on Z x Z_3; ``labels`` maps element -> class index."""
+    (z, a), get = g, labels.get
+    return [get((z - y, (a - b) % 3), -1) for y, b in r]
+
+
 def enumerate_windowed(
     window: int,
     projection: str | None = None,
@@ -247,29 +255,26 @@ def enumerate_windowed(
     star-closed, and each class projects modulo torsion onto one class of the
     discrete or symmetric ring over Z, so the torsion subgroup is an
     S-subgroup.  Level k's frontier is each prefix of the one below, in
-    order, extended by each layout of level k that passes :func:`_closed`,
-    which only prunes; verify_axioms decides each member of the last frontier.
+    order, extended by each layout of level k that passes :func:`_closed`.
+    That test is exact on the window, so the last frontier is the census.
     None of the paper's lemmas shapes the search; they are checked on finished
     rings (``check-lemmas``).  ``projection`` filters to one projection type.
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")
     group = GroupDescriptor(0, 3)
-    identity = frozenset([group.identity])
-    multiply = partial(class_product, group=group)
     results = []
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
-        frontier = [([identity], {group.identity: identity})]
+        frontier = [([frozenset([group.identity])], {group.identity: 0})]
         for k in range(window + 1):
             layouts, previous, frontier = _level_candidates(group, k, mode), frontier, []
-            for classes, member in previous:
+            for classes, labels in previous:
                 for layout in layouts:
                     extended = classes + list(layout)
-                    grown = member | {g: c for c in layout for g in c}
-                    if _closed(extended, layout, multiply, grown):
+                    grown = labels | {g: i for i, c in enumerate(layout, len(classes)) for g in c}
+                    if _closed(extended, len(classes), partial(_window_row, grown)):
                         frontier.append((extended, grown))
-        leaves = (SchurPresentation(group, classes, window=window) for classes, _ in frontier)
-        results += [P for P in leaves if verify_axioms(P).ok]
+        results += [SchurPresentation(group, classes, window=window) for classes, _ in frontier]
     return results

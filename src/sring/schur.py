@@ -10,8 +10,8 @@ counts pairs from the two classes alone, so it is exact there.
 Class sums have non-negative integer coefficients.  :func:`verify_axioms`
 takes one row pass per class c: it reads the class labels of x^-1 g for every
 x in c and g in the window off one list, and so checks c against every class
-at once.  :func:`verify_wielandt` and the enumerators multiply one pair at a
-time with :func:`class_product`, which counts products of exponent pairs.
+at once.  :func:`verify_wielandt` multiplies one pair at a time with
+:func:`class_product`, which counts products of exponent pairs.
 :class:`RingElement` stays the exact rational algebra for the span and
 multiplier checks; only the lemma checks that build ring elements load
 :mod:`sring.group_ring`.

@@ -1,10 +1,14 @@
 import hashlib
 import json
 from collections import Counter
+from functools import cache
 from itertools import chain, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import sring.enumeration as enumeration
 
 from sring import (
     BoundExceeded,
@@ -21,6 +25,7 @@ from sring import (
     is_traditional,
     orbit_ring,
     projection_type,
+    quotient,
     restrict,
     standard_wedge,
     trivial,
@@ -29,9 +34,9 @@ from sring import (
 )
 from sring.cli import parse_group
 from sring.constructions import _direct_product
-from sring.enumeration import MAX_WINDOW, _level_candidates, _star_pairs
+from sring.enumeration import MAX_WINDOW, _closed, _level_candidates, _star_pairs
 from sring.groups import close_automorphisms
-from sring.schur import reach, shadow, star
+from sring.schur import is_ssubgroup, reach, shadow, star
 
 # enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded while the window search still pruned with
@@ -62,6 +67,45 @@ def _set_partitions(items):
         cls = frozenset([least] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
         for sub in _set_partitions([x for x in rest if x not in cls]):
             yield [cls] + sub
+
+
+@cache
+def _census(spec):
+    return enumerate_finite(GroupDescriptor(*spec), bound=18)
+
+
+@st.composite
+def star_closed_partitions(draw):
+    """A star-closed partition of Z_n x Z_m (n*m <= 16) as a class list with
+    {1} first: a ring of the census, that ring with two classes merged and
+    their stars merged, or inverse pairs {g, g^-1} grouped at random, where
+    a group free of involutions may split into a set holding one element of
+    each pair and its star."""
+    spec = draw(st.sampled_from([(n, m) for n in range(1, 17) for m in range(1, 16 // n + 1)]))
+    G = GroupDescriptor(*spec)
+    how = draw(st.sampled_from(["ring", "merged", "random"]))
+    if how != "random":
+        classes = list(draw(st.sampled_from(_census(spec))).classes)
+        # two classes merge with their stars when both or neither are self-star
+        mergeable = [(c, d) for i, c in enumerate(classes[1:], 1) for d in classes[i + 1:]
+                     if (star(c, G) == c) == (star(d, G) == d)]
+        if how == "merged" and mergeable:
+            c, d = draw(st.sampled_from(mergeable))
+            merged = {c | d, star(c, G) | star(d, G)}
+            classes = [e for e in classes if e not in {c, d, star(c, G), star(d, G)}]
+            classes += merged
+        return G, [frozenset([G.identity])] + [c for c in classes if G.identity not in c]
+    pairs = sorted({frozenset([g, G.inverse(g)]) for g in G.elements() if g != G.identity}, key=sorted)
+    labels = draw(st.lists(st.integers(0, len(pairs)), min_size=len(pairs), max_size=len(pairs)))
+    classes = [frozenset([G.identity])]
+    for label in sorted(set(labels)):
+        c = [p for p, i in zip(pairs, labels) if i == label]
+        if all(len(p) == 2 for p in c) and draw(st.booleans()):
+            half = frozenset(min(p) if draw(st.booleans()) else max(p) for p in c)
+            classes += [half, star(half, G)]
+        else:
+            classes.append(frozenset().union(*c))
+    return G, classes
 
 
 # Counts below with no literature anchor were frozen from the first verified
@@ -313,6 +357,27 @@ class TestEnumerateFinite:
             assert len(got) == len(set(got))
             assert set(got) == set(mask_loop(remaining))
 
+    @pytest.mark.parametrize("label,count", [("Z16", 37), ("Z2xZ8", 163), ("Z4xZ4", 537)])
+    def test_every_leaf_is_a_ring(self, monkeypatch, label, count):
+        # _closed is exact, so each partition the search completes passes
+        # verify_axioms: one leaf check per ring
+        leaves = []
+        monkeypatch.setattr(enumeration, "verify_axioms", lambda P: leaves.append(P) or verify_axioms(P))
+        assert len(enumerate_finite(parse_group(label))) == count
+        assert len(leaves) == count
+
+    @given(star_closed_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_with_every_class_fresh_is_verify_axioms(self, drawn):
+        G, classes = drawn
+        n, m = G.free_order, G.torsion_order
+        labels = {g: i for i, c in enumerate(classes) for g in c}
+
+        def row(r, g):
+            return [labels[(g.z_exp - x.z_exp) % n, (g.a_exp - x.a_exp) % m] for x in r]
+
+        assert _closed(classes, 1, row) == verify_axioms(SchurPresentation(G, classes)).ok
+
     def test_determinism(self):
         G = GroupDescriptor(1, 8)
         first = [P.classes for P in enumerate_finite(G)]
@@ -519,7 +584,8 @@ class TestEnumerateWindowed:
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_the_leaf_check_alone_gives_the_census(self, G, window):
         # with no pruning, the layout combinations that verify_axioms accepts
-        # are exactly the census: _closed only cuts branches early
+        # are exactly the census: the search keeps a layout when _closed
+        # passes, and _closed tests the same triples, so it needs no leaf check
         found = set()
         for mode in ("discrete", "symmetric"):
             levels = [_level_candidates(G, k, mode) for k in range(window + 1)]
@@ -528,6 +594,27 @@ class TestEnumerateWindowed:
                 if verify_axioms(P).ok:
                     found.add(P)
         assert found == set(enumerate_windowed(window))
+
+    def test_the_search_makes_no_leaf_check(self, monkeypatch):
+        leaves = []
+        monkeypatch.setattr(enumeration, "verify_axioms", lambda P: leaves.append(P) or verify_axioms(P))
+        assert len(enumerate_windowed(6)) == 70
+        assert not leaves
+
+    def test_quotients_are_in_the_finite_census(self, G):
+        # the bridge between the two enumerators: where <z^N> is an
+        # S-subgroup of a window-12 ring, its quotient is a ring over
+        # Z_N x Z_3 and, by the finite analogue, traditional
+        seen = 0
+        for P in enumerate_windowed(12):
+            for N in range(2, 7):
+                K = Subgroup.free_power(G, N)
+                if is_ssubgroup(P, K):
+                    Q = quotient(P, K)
+                    assert Q in _census((N, 3)), (N, P)
+                    assert is_traditional(Q).kind != "no", (N, P)
+                    seen += 1
+        assert seen == 83
 
     def test_each_ring_cut_one_level_down_is_a_ring_one_window_down(self):
         # every ring at window w-1 has one child at window w, except four
