@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # home submodule -> the names the package exports from it
 _HOMES = {
     "classify": (
-        "classify", "describe_recipe", "find_H", "projection_type", "recipe_from_json",
-        "recipe_to_json", "resynthesize",
+        "classify", "describe_recipe", "projection_type", "recipe_from_json", "recipe_to_json",
+        "resynthesize",
     ),
     "constructions": (
         "Recipe", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric", "tensor",
@@ -40,7 +40,7 @@ _HOMES = {
         "parse_element",
     ),
     "schur": (
-        "SchurPresentation", "VerificationReport", "Witness", "class_stabilizer",
+        "SchurPresentation", "VerificationReport", "Witness", "class_stabilizer", "find_H",
         "generated_subgroup", "is_sset", "is_ssubgroup", "level_sets", "multiplier_set",
         "multiplier_set_congruence", "quotient", "restrict", "torsion_is_ssubgroup",
         "verify_axioms", "verify_wielandt",

@@ -14,22 +14,20 @@ class-for-class on its window.  A family descriptor is the recipe in words
 
 from __future__ import annotations
 
-from math import gcd
-
 from .constructions import Recipe, build, standard_part, torsion_tower
 from .errors import IncompatibleWedge, Unclassifiable, UnrecognizedQuotient, WindowTooSmall
 from .groups import (
     Automorphism,
-    GroupDescriptor,
     GroupElement,
     QuotientMap,
-    Subgroup,
     automorphism_from_json,
     canonical_generators,
     json_field,
     json_value,
 )
 from .schur import (
+    MIN_CLASSIFY_WINDOW,
+    Z_CROSS_Z3,
     SchurPresentation,
     check_partition,
     class_stabilizer,
@@ -39,48 +37,14 @@ from .schur import (
     torsion_is_ssubgroup,
 )
 
-Z_CROSS_Z3 = GroupDescriptor(0, 3)
-
 DISCRETE = "discrete"
 SYMMETRIC = "symmetric"
 TRIVIAL = "trivial"
-
-MIN_CLASSIFY_WINDOW = 3
 
 
 def _require_group(P: SchurPresentation) -> None:
     if P.group != Z_CROSS_Z3:
         raise ValueError(f"classification is defined over Z x Z_3, got {P.group}")
-
-
-def find_H(P: SchurPresentation) -> Subgroup:
-    """The maximal S-subgroup contained in <z>, as seen through the window.
-
-    Computed as the span of the levels whose class stays inside <z>; the
-    multiples of the least such level must behave consistently across the
-    window, otherwise the input cannot be a Schur-ring window.
-    """
-    _require_group(P)
-    if P.window < MIN_CLASSIFY_WINDOW:
-        raise WindowTooSmall(
-            f"window {P.window} cannot certify a free S-subgroup (need >= {MIN_CLASSIFY_WINDOW})"
-        )
-    pure = []
-    for k in range(1, P.window + 1):
-        c = P.class_of(GroupElement(k, 0))
-        if c is not None and all(g.a_exp == 0 for g in c):
-            pure.append(k)
-    if not pure:
-        return Subgroup.trivial(P.group)
-    h = 0
-    for k in pure:
-        h = gcd(h, k)
-    expected = set(range(h, P.window + 1, h))
-    if set(pure) != expected:
-        raise Unclassifiable(
-            "levels with pure-z classes do not form a subgroup within the window"
-        )
-    return Subgroup.free_power(P.group, h)
 
 
 def projection_type(P: SchurPresentation) -> str:

@@ -20,6 +20,7 @@ multiplier checks; only the lemma checks that build ring elements load
 from __future__ import annotations
 
 from itertools import compress, islice
+from math import gcd
 from operator import itemgetter, ne
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -29,6 +30,8 @@ from .errors import (
     NotInSpan,
     NotSSet,
     NotSSubgroup,
+    Unclassifiable,
+    WindowTooSmall,
 )
 from .groups import (
     Automorphism,
@@ -49,6 +52,10 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .group_ring import RingElement
+
+
+Z_CROSS_Z3 = GroupDescriptor(0, 3)
+MIN_CLASSIFY_WINDOW = 3  # shows the classes of z, z^2 and z^3, which find_H and classify read
 
 
 def _class_key(cls: frozenset) -> tuple:
@@ -273,12 +280,18 @@ def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
     return True
 
 
-def _group_by_value(coeffs: Mapping) -> list[tuple]:
-    """The level sets of a coefficient map, as (value, elements) by ascending value."""
-    by_value: dict = {}
+def _split_level(coeffs: Mapping, member: Mapping):
+    """The least value whose level set, cut to the window (the keys of member),
+    is not a union of classes; None if every one is.  Exact for coefficients
+    computed from whole classes: an element past the window is dropped."""
+    levels: dict = {}
     for g, v in coeffs.items():
-        by_value.setdefault(v, set()).add(g)
-    return [(v, frozenset(by_value[v])) for v in sorted(by_value)]
+        if g in member:
+            levels.setdefault(v, set()).add(g)
+    for v in sorted(levels):
+        if not is_union(levels[v], member):
+            return v
+    return None
 
 
 def _report(P: SchurPresentation, pairs: int, witness: Witness | None = None) -> VerificationReport:
@@ -415,20 +428,16 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
                 ),
             )
 
-    member, classes = P._member_class, P.classes
+    classes = P.classes
     pairs = 0
     for i, c in enumerate(classes):
         for d in classes[i:]:
             pairs += 1
-            levels: dict = {}  # coefficient -> the elements of the window that take it
-            for g, v in class_product(c, d, P.group).items():
-                if g in member:
-                    levels.setdefault(v, set()).add(g)
-            for v in sorted(levels):
-                if not is_union(levels[v], member):
-                    detail = f"coefficient level set for value {v} is not an S-set"
-                    witness = Witness("product-closure", _class_key(c), _class_key(d), detail)
-                    return _report(P, pairs, witness)
+            v = _split_level(class_product(c, d, P.group), P._member_class)
+            if v is not None:
+                detail = f"coefficient level set for value {v} is not an S-set"
+                witness = Witness("product-closure", _class_key(c), _class_key(d), detail)
+                return _report(P, pairs, witness)
     return _report(P, pairs)
 
 
@@ -448,16 +457,15 @@ def _require_in_span(alpha: RingElement, P: SchurPresentation) -> None:
 def level_sets(alpha: RingElement, P: SchurPresentation) -> list[tuple[Fraction, frozenset]]:
     """Partition the support of alpha by coefficient value.
 
-    Each part is an S-set of P (the Schur-Wielandt principle); NotInSpan is
-    raised when alpha is not in the span of P's class sums.
+    Each part is an S-set of P (the Schur-Wielandt principle): alpha is
+    constant on every class it meets, so a level set holds whole classes.
+    NotInSpan is raised when alpha is not in the span of P's class sums.
     """
     _require_in_span(alpha, P)
-    out = []
-    for v, part in reversed(_group_by_value(alpha.terms())):
-        if not is_sset(P, part):  # cannot happen once constancy holds
-            raise NotInSpan(f"level set for {v} is not a union of classes")
-        out.append((v, part))
-    return out
+    by_value: dict = {}
+    for g, v in alpha.terms().items():
+        by_value.setdefault(v, set()).add(g)
+    return [(v, frozenset(by_value[v])) for v in sorted(by_value, reverse=True)]
 
 
 def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
@@ -560,8 +568,8 @@ def _check_multiplier_preconditions(X: frozenset, p: int, P: SchurPresentation) 
 def multiplier_set(X: Iterable[GroupElement], p: int, P: SchurPresentation) -> frozenset:
     """The set {x^p : x in X, |X ∩ Ex| not divisible by p}, E the p-torsion kernel.
 
-    The result is an S-set whenever its elements are inside the verified
-    window; that conclusion is asserted when checkable.
+    Exact, as it counts the whole of X; it may reach past the window.  Raises
+    only on the preconditions: BadPrime, NotSSet when X is not an S-set.
     """
     G = P.group
     X = frozenset(G.element(*g) for g in X)
@@ -572,13 +580,7 @@ def multiplier_set(X: Iterable[GroupElement], p: int, P: SchurPresentation) -> f
         coset = frozenset(G.mul(e, x) for e in E)
         if len(X & coset) % p:
             result.add(G.pow(x, p))
-    result = frozenset(result)
-    if all(P.class_of(g) is not None for g in result):
-        if not is_sset(P, result):
-            raise NotSSet(
-                "multiplier set is not a union of classes; the presentation is not a Schur ring"
-            )
-    return result
+    return frozenset(result)
 
 
 def multiplier_set_congruence(
@@ -610,18 +612,19 @@ def multiplier_set_congruence(
 
 
 def frobenius_closure_holds(P: SchurPresentation, k: int) -> tuple[bool, str]:
-    """Whether every in-reach class maps to an S-set under g -> g^k."""
+    """Whether the image of every class under g -> g^k is an S-set on the window.
+
+    Exact: each image counts its whole class.  On a finite group this is Schur's
+    multiplier theorem for k coprime to the order (Wielandt, *Finite Permutation
+    Groups*, 1964, Thm 23.9).
+    """
     from .group_ring import simple_quantity
 
-    G = P.group
     for c in P.classes:
-        if G.is_infinite and reach(c) * abs(k) > P.window:
-            continue
-        image = simple_quantity(G, c).frobenius(k)
-        for _, part in _group_by_value(image.terms()):
-            if not is_sset(P, part):
-                return False, f"class {_fmt_class(c)} breaks closure under power {k}"
-    return True, f"all in-window classes closed under power {k}"
+        image = simple_quantity(P.group, c).frobenius(k)
+        if _split_level(image.terms(), P._member_class) is not None:
+            return False, f"class {_fmt_class(c)} breaks closure under power {k}"
+    return True, f"all {len(P.classes)} classes closed under power {k} on the window"
 
 
 def torsion_subgroup_holds(P: SchurPresentation) -> tuple[bool, str]:
@@ -630,32 +633,51 @@ def torsion_subgroup_holds(P: SchurPresentation) -> tuple[bool, str]:
 
 
 def multiplier_sets_hold(P: SchurPresentation, p: int) -> tuple[bool, str]:
-    """X^[p] is an S-set for every in-window class, both routes agreeing."""
-    G = P.group
-    checked = 0
+    """Whether X^[p] is an S-set on the window for every class X, both routes
+    agreeing.  Exact: both routes count the whole class."""
     for c in P.classes:
-        if G.is_infinite and reach(c) * p > P.window:
-            continue
         direct = multiplier_set(c, p, P)
-        congruence = multiplier_set_congruence(c, p, P)
-        if direct != congruence:
+        if direct != multiplier_set_congruence(c, p, P):
             return False, f"multiplier routes disagree on {_fmt_class(c)}"
-        if any(P.class_of(g) is None for g in direct):
-            continue
-        if not is_sset(P, direct):
+        if _split_level(dict.fromkeys(direct, 1), P._member_class) is not None:
             return False, f"multiplier set of {_fmt_class(c)} is not an S-set"
-        checked += 1
-    return True, f"multiplier sets verified for {checked} classes"
+    return True, f"multiplier sets verified for {len(P.classes)} classes"
 
 
 def class_shape_holds(P: SchurPresentation) -> tuple[bool, str]:
     """Every class is a full torsion coset or has size != torsion order (p odd prime)."""
-    G = P.group
-    p = G.torsion_order
+    p = P.group.torsion_order
     for c in P.classes:
         if len(c) == p and len(shadow(c)) != 1:
             return False, f"class {_fmt_class(c)} has size {p} but is not a torsion coset"
     return True, "class shapes satisfy the coset-or-size dichotomy"
+
+
+def find_H(P: SchurPresentation) -> Subgroup:
+    """The maximal S-subgroup contained in <z>, as seen through the window.
+
+    Computed as the span of the levels whose class stays inside <z>; the
+    multiples of the least such level must behave consistently across the
+    window, otherwise the input cannot be a Schur-ring window (Unclassifiable).
+    Defined over Z x Z_3 only (ValueError), from window 3 on (WindowTooSmall).
+    """
+    if P.group != Z_CROSS_Z3:
+        raise ValueError(f"classification is defined over Z x Z_3, got {P.group}")
+    if P.window < MIN_CLASSIFY_WINDOW:
+        raise WindowTooSmall(
+            f"window {P.window} cannot certify a free S-subgroup (need >= {MIN_CLASSIFY_WINDOW})"
+        )
+    pure = []
+    for k in range(1, P.window + 1):
+        c = P.class_of(GroupElement(k, 0))
+        if c is not None and all(g.a_exp == 0 for g in c):
+            pure.append(k)
+    if not pure:
+        return Subgroup.trivial(P.group)
+    h = gcd(*pure)
+    if pure != list(range(h, P.window + 1, h)):
+        raise Unclassifiable("levels with pure-z classes do not form a subgroup within the window")
+    return Subgroup.free_power(P.group, h)
 
 
 def power_in_subgroup_holds(P: SchurPresentation, H: Subgroup) -> tuple[bool, str]:
@@ -667,7 +689,7 @@ def power_in_subgroup_holds(P: SchurPresentation, H: Subgroup) -> tuple[bool, st
             continue
         for g in c:
             target = GroupElement(p * g.z_exp, 0)
-            if G.is_infinite and abs(target.z_exp) > P.window:
+            if G.is_infinite and abs(target.z_exp) > P.window:  # find_H sees H on the window
                 continue
             if target not in H:
                 return False, (

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sring import cli
+from sring import cli, enumerate_finite, enumerate_windowed
 from sring.cli import parse_group, run
 from sring.groups import GroupDescriptor
 
@@ -60,6 +61,13 @@ WINDOW_1_NOT_A_RING = {
     "group": {"free": "Z", "torsion": 3},
     "window": 1,
     "classes": [[[0, 0]], [[0, 1], [0, 2]], [[-1, 0], [1, 2]], [[-1, 1], [1, 0]], [[-1, 2], [1, 1]]],
+}
+# discrete at window 3 with {z^-3} and {z^-1} merged: {z^-1 a}^[3] = {z^-3} is half a class
+MERGED_INVERSES = {
+    "group": {"free": "Z", "torsion": 3},
+    "window": 3,
+    "classes": [[[-3, 0], [-1, 0]]] + [[[z, a]] for z in range(-3, 4) for a in range(3)
+                                       if (z, a) not in ((-3, 0), (-1, 0))],
 }
 INPUTS = {
     "array": [],
@@ -306,6 +314,14 @@ class TestEnumerate:
         assert code == 0 and json.loads(out.splitlines()[-1])["count"] == 15
 
 
+def lemma_rows(capsys, monkeypatch, presentation):
+    """Exit code and {row name: ok} of ``--json check-lemmas -`` on a presentation."""
+    text = presentation if isinstance(presentation, str) else json.dumps(presentation)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = invoke(capsys, "--json", "check-lemmas", "-")
+    return code, {check["name"]: check["ok"] for check in json.loads(out)["checks"]}
+
+
 class TestCheckLemmas:
     def test_all_pass_on_orbit_ring(self, capsys, tmp_path):
         _, out, _ = invoke(capsys, "construct", "--kind", "orbit", "--params", '{"gens":["rho"]}')
@@ -346,6 +362,47 @@ class TestCheckLemmas:
         assert code == 1
         assert not checks["axioms"]["ok"] and checks["axioms"]["detail"] == "verdict invalid"
         assert checks["wielandt-agreement"]["ok"]
+
+    def test_a_multiplier_set_past_the_window_is_a_lemma_failure(self, capsys, monkeypatch):
+        code, rows = lemma_rows(capsys, monkeypatch, MERGED_INVERSES)
+        assert code == 1 and rows["multiplier-sets p=3"] is False
+
+    def test_the_rows_on_z_x_z3_are_unchanged(self, capsys, monkeypatch):
+        _, out, _ = invoke(capsys, "construct", "--kind", "discrete", "--window", "3")
+        code, rows = lemma_rows(capsys, monkeypatch, out)
+        assert code == 0 and list(rows) == [
+            "axioms", "wielandt-agreement", "frobenius-closure k=2", "frobenius-closure k=4",
+            "frobenius-closure k=5", "frobenius-closure k=7", "torsion-s-subgroup",
+            "multiplier-sets p=3", "class-shape", "small-class-powers",
+        ]
+
+    @pytest.mark.parametrize("group,powers", [
+        ("ZxZ5", []), ("ZxZ1", []), ("Z6", [5, 7]), ("Z2xZ5", [7]), ("Z35", [2, 4]),
+    ])
+    def test_other_groups_get_only_the_rows_that_are_theorems(self, capsys, monkeypatch, group,
+                                                             powers):
+        params = json.dumps({"group": group})
+        _, out, _ = invoke(capsys, "construct", "--kind", "discrete", "--params", params,
+                           "--window", "6")
+        code, rows = lemma_rows(capsys, monkeypatch, out)
+        assert code == 0 and list(rows) == [
+            "axioms", "wielandt-agreement", *(f"frobenius-closure k={k}" for k in powers)]
+
+
+FINITE_UP_TO_12 = [GroupDescriptor(n, m) for n in range(1, 13) for m in range(1, 12 // n + 1)]
+
+
+class TestCheckLemmasOnEveryCensusRing:
+    @pytest.mark.parametrize("group", FINITE_UP_TO_12, ids=str)
+    def test_finite(self, capsys, monkeypatch, group):
+        codes = [lemma_rows(capsys, monkeypatch, P.to_json())[0] for P in enumerate_finite(group)]
+        assert codes == [0] * len(codes)
+
+    @pytest.mark.parametrize("window", range(3, 7))
+    def test_windowed(self, capsys, monkeypatch, window):
+        codes = [lemma_rows(capsys, monkeypatch, P.to_json())[0]
+                 for P in enumerate_windowed(window)]
+        assert codes == [0] * (11 * window + 4)
 
 
 class TestConfigPrecedence:

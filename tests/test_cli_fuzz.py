@@ -15,8 +15,17 @@ from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
 
-from sring import GroupDescriptor, discrete, named_automorphism, orbit_ring, standard_wedge, trivial
+from sring import (
+    GroupDescriptor,
+    SchurPresentation,
+    discrete,
+    named_automorphism,
+    orbit_ring,
+    standard_wedge,
+    trivial,
+)
 from sring.cli import run
+from sring.schur import check_partition
 
 G = GroupDescriptor(0, 3)
 ALIASES = ("psi", "delta", "xi", "rho", "sigma", "zeta", "tau")
@@ -153,3 +162,29 @@ def test_every_input_ends_in_a_documented_exit_code(invocation):
     if "--json" in argv and not by_argparse:
         for line in out.splitlines():
             json.loads(line)
+
+
+@st.composite
+def partitions(draw):
+    """Any partition of Z x Z_m at a window of 1-4 (m <= 4), or of a finite group of order <= 16."""
+    if draw(st.booleans()):
+        group, window = GroupDescriptor(0, draw(st.integers(1, 4))), draw(st.integers(1, 4))
+    else:
+        n = draw(st.integers(1, 16))
+        group, window = GroupDescriptor(n, draw(st.integers(1, 16 // n))), 0
+    universe = list(group.window_elements(window))
+    labels = st.integers(0, draw(st.integers(0, len(universe) - 1)))
+    classes: dict = {}
+    for g, label in zip(universe, draw(st.lists(labels, min_size=len(universe),
+                                                max_size=len(universe)))):
+        classes.setdefault(label, []).append(g)
+    return SchurPresentation(group, classes.values(), window=window)
+
+
+@given(partitions())
+@settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
+def test_check_lemmas_gives_a_verdict_on_every_partition(P):
+    check_partition(P)  # well formed, so the rows decide: 0 or 1, never 2
+    code, _, out, err = call(["--json", "check-lemmas", "-"], json.dumps(P.to_json()))
+    assert code in (0, 1), out + err
+    assert all(isinstance(check["ok"], bool) for check in json.loads(out)["checks"])

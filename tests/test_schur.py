@@ -30,6 +30,7 @@ from sring import (
 from sring.schur import (
     class_shape_holds,
     frobenius_closure_holds,
+    multiplier_sets_hold,
     power_in_subgroup_holds,
 )
 
@@ -268,9 +269,7 @@ class TestMultiplierSets:
 
     def test_congruence_route_agrees(self, G, psi_ring, xi_ring):
         for P in (psi_ring, xi_ring):
-            for c in P.classes:
-                if max(abs(g.z_exp) for g in c) * 3 > P.window:
-                    continue
+            for c in P.classes:  # both count the whole class, inside the window or past it
                 assert multiplier_set(c, 3, P) == multiplier_set_congruence(c, 3, P)
 
     def test_requires_sset(self, G, psi_ring):
@@ -286,6 +285,23 @@ class TestMultiplierSets:
         out = multiplier_set(X, 3, psi_ring)
         assert is_sset(psi_ring, out)
 
+    def test_a_result_that_is_no_sset_is_returned(self, G):
+        # the lemma, not multiplier_set, decides: {z^-1 a}^[3] = {z^-3}, half of a class
+        P = _discrete_with(G, 3, MERGED_INVERSES)
+        assert multiplier_set({GroupElement(-1, 1)}, 3, P) == {(-3, 0)}
+
+
+def _discrete_with(G, window, *classes):
+    """discrete(G, window) with the given classes in place of the singletons they cover."""
+    covered = {g for c in classes for g in c}
+    singletons = [c for c in discrete(G, window).classes if not c <= covered]
+    return SchurPresentation(G, [*singletons, *classes], window=window)
+
+
+# window 3, merged into discrete: {z^-3, z^-1}, and {z, z^3} with {z^2, z^3 a}
+MERGED_INVERSES = [(-3, 0), (-1, 0)]
+REACH_3_NOT_A_RING = [[(1, 0), (3, 0)], [(2, 0), (3, 1)]]
+
 
 class TestLemmaHelpers:
     def test_torsion_is_ssubgroup(self, G, psi_ring):
@@ -297,6 +313,24 @@ class TestLemmaHelpers:
             for k in (2, 4, 5, 7):
                 ok, msg = frobenius_closure_holds(P, k)
                 assert ok, msg
+
+    def test_frobenius_closure_checks_a_class_that_reaches_past_the_window(self, G):
+        # {z, z^3} squared is {z^2, z^6}: on the window {z^2}, half of {z^2, z^3 a}
+        P = _discrete_with(G, 3, *REACH_3_NOT_A_RING)
+        ok, msg = frobenius_closure_holds(P, 2)
+        assert not ok and msg == "class {z, z^3} breaks closure under power 2"
+
+    def test_every_class_is_counted(self, G, psi_ring):
+        n = len(psi_ring.classes)
+        assert frobenius_closure_holds(psi_ring, 7) == (
+            True, f"all {n} classes closed under power 7 on the window")
+        assert multiplier_sets_hold(psi_ring, 3) == (
+            True, f"multiplier sets verified for {n} classes")
+
+    def test_multiplier_sets_fail_on_a_class_that_reaches_past_the_window(self, G):
+        # {z^-3, z^-1}^[3] = {z^-9, z^-3}: on the window {z^-3}, half of the class
+        ok, msg = multiplier_sets_hold(_discrete_with(G, 3, MERGED_INVERSES), 3)
+        assert (ok, msg) == (False, "multiplier set of {z^-3, z^-1} is not an S-set")
 
     def test_class_shape(self, psi_ring, xi_ring):
         for P in (psi_ring, xi_ring):

@@ -20,8 +20,8 @@ W3 = json.dumps(discrete(GroupDescriptor(0, 3), 3).to_json())
 
 # home submodule -> the names ``sring`` exports from it
 PUBLIC = {
-    "classify": ["classify", "describe_recipe", "find_H", "projection_type",
-                 "recipe_from_json", "recipe_to_json", "resynthesize"],
+    "classify": ["classify", "describe_recipe", "projection_type", "recipe_from_json",
+                 "recipe_to_json", "resynthesize"],
     "constructions": ["Recipe", "build", "discrete", "orbit_ring", "standard_wedge",
                       "symmetric", "tensor", "trivial", "wedge"],
     "enumeration": ["enumerate_finite", "enumerate_windowed", "is_traditional"],
@@ -33,7 +33,7 @@ PUBLIC = {
     "groups": ["Automorphism", "GroupDescriptor", "GroupElement", "QuotientMap", "Subgroup",
                "all_automorphisms", "all_subgroups", "format_element", "named_automorphism",
                "orbit", "parse_element"],
-    "schur": ["SchurPresentation", "VerificationReport", "Witness", "class_stabilizer",
+    "schur": ["SchurPresentation", "VerificationReport", "Witness", "class_stabilizer", "find_H",
               "generated_subgroup", "is_sset", "is_ssubgroup", "level_sets", "multiplier_set",
               "multiplier_set_congruence", "quotient", "restrict", "torsion_is_ssubgroup",
               "verify_axioms", "verify_wielandt"],
@@ -47,8 +47,7 @@ COMMANDS = {
     "construct": (["construct", "--kind", "discrete", "--window", "3"], "",
                   {"sring.constructions"}),
     "classify": (["classify", "-"], W3, {"sring.classify", "sring.constructions"}),
-    "check-lemmas": (["check-lemmas", "-"], W3,
-                     {"sring.classify", "sring.constructions", "sring.group_ring"}),
+    "check-lemmas": (["check-lemmas", "-"], W3, {"sring.group_ring"}),
     "enumerate": (["enumerate", "--group", "Z3"], "", {"sring.constructions", "sring.enumeration"}),
 }
 
