@@ -31,7 +31,7 @@ DEFAULT_FINITE_BOUND = 16
 MAX_WINDOW = 12
 
 
-# -- exhaustive enumeration over finite groups --------------------------------
+# -- one backtracking search; exhaustive enumeration over finite groups -------
 
 
 def _closed(classes: list[frozenset], start: int, row: Callable) -> bool:
@@ -83,6 +83,41 @@ def _subsets(remaining: Sequence) -> Iterator[list[frozenset]]:
         yield [frozenset([least] + [rest[i] for i in range(len(rest)) if mask >> i & 1])]
 
 
+def _search(
+    group: GroupDescriptor, elems: Sequence, options: Callable, prune: bool = True
+) -> Iterator[list[list]]:
+    """The partitions of ``elems`` (``elems[0]`` the identity) that the
+    backtracking search completes.  A node puts the least unplaced index into
+    the fresh classes of each ``options(remaining)`` in turn; with ``prune``
+    a branch is cut where :func:`_closed` fails.  ``over[g][x]`` is the index
+    of x^-1 g, ``len(elems)`` off the window, whose label stays -1.
+    """
+    index = {g: i for i, g in enumerate(elems)}
+    off = len(elems)
+    over = [[index.get(group.element(z - y, a - b), off) for y, b in elems] for z, a in elems]
+    labels = [0] + [-1] * off
+
+    def row(r: frozenset, g: int) -> list[int]:
+        return [labels[over[g][x]] for x in r]
+
+    def extend(classes: list[frozenset], remaining: tuple[int, ...]) -> Iterator[list[list]]:
+        if not remaining:
+            yield [[elems[i] for i in c] for c in classes]
+            return
+        for fresh in options(remaining):
+            extended = classes + fresh
+            for i, c in enumerate(fresh, len(classes)):
+                for g in c:
+                    labels[g] = i
+            if not prune or _closed(extended, len(classes), row):
+                yield from extend(extended, tuple(g for g in remaining if labels[g] < 0))
+            for c in fresh:
+                for g in c:
+                    labels[g] = -1
+
+    yield from extend([frozenset([0])], tuple(range(1, off)))
+
+
 def enumerate_finite(
     group: GroupDescriptor,
     bound: int = DEFAULT_FINITE_BOUND,
@@ -90,52 +125,23 @@ def enumerate_finite(
 ) -> list[SchurPresentation]:
     """All Schur-ring partitions of a finite group, sorted by their classes.
 
-    The search runs on element indices in sorted order (0 is the identity)
-    with a Cayley table.  Backtracking puts the least unassigned element into
-    a fresh class.  ``prune=False`` tries every subset of the unassigned
-    elements holding it.  With ``prune`` only star-closed classes or
-    class-and-star pairs are tried (:func:`_star_pairs`), which are exactly
-    the subsets that pass the star axiom; so the unassigned elements stay
-    star-closed and no ring is lost.  A branch is also cut when a class
-    triple it completes fails product closure (:func:`_closed`), which is
-    exact, so every leaf is a ring.  The final arbiter is verify_axioms
-    either way, so both modes return the same list.
+    :func:`_search` runs on the sorted elements.  ``prune=False`` tries every
+    subset of the unassigned elements holding the least one.  With ``prune``
+    only star-closed classes or class-and-star pairs are tried
+    (:func:`_star_pairs`), exactly the subsets that pass the star axiom, so
+    no ring is lost; and a branch is cut when a class triple it completes
+    fails :func:`_closed`, which is exact, so every leaf is a ring.  The
+    final arbiter is verify_axioms either way, so both modes agree.
     """
     if group.is_infinite:
         raise InfiniteGroup("enumeration needs a finite group")
     if group.order > bound:
         raise BoundExceeded(f"|G| = {group.order} exceeds bound {bound}")
-    n, m = group.free_order, group.torsion_order
     elems = sorted(group.elements())
-    index = {g: i for i, g in enumerate(elems)}
-    inv = [index[-z % n, -a % m] for z, a in elems]
-    # over[g][x] is x^-1 g, and labels[h] the index of h's class (-1 unplaced)
-    over = [[index[(z - y) % n, (a - b) % m] for y, b in elems] for z, a in elems]
-    labels = [0] + [-1] * (len(elems) - 1)
-    results: list[SchurPresentation] = []
-
-    def row(r: frozenset, g: int) -> list[int]:
-        return [labels[over[g][x]] for x in r]
-
-    def extend(classes: list[frozenset], remaining: tuple[int, ...]) -> None:
-        """Search below a node whose classes are labelled in ``labels``."""
-        if not remaining:
-            P = SchurPresentation(group, [[elems[i] for i in c] for c in classes])
-            if verify_axioms(P).ok:
-                results.append(P)
-            return
-        for fresh in _star_pairs(remaining, inv) if prune else _subsets(remaining):
-            extended = classes + fresh
-            for i, c in enumerate(fresh, len(classes)):
-                for g in c:
-                    labels[g] = i
-            if not prune or _closed(extended, len(classes), row):
-                extend(extended, tuple(g for g in remaining if labels[g] < 0))
-            for c in fresh:
-                for g in c:
-                    labels[g] = -1
-
-    extend([frozenset([0])], tuple(range(1, len(elems))))
+    inv = [elems.index(group.inverse(g)) for g in elems]
+    options = partial(_star_pairs, inv=inv) if prune else _subsets
+    leaves = map(partial(SchurPresentation, group), _search(group, elems, options, prune))
+    results = [P for P in leaves if verify_axioms(P).ok]
     return sorted(results, key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
 
 
@@ -236,12 +242,6 @@ def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[f
     return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
 
 
-def _window_row(labels: dict, r: frozenset, g: tuple) -> list[int]:
-    """:func:`_closed`'s row on Z x Z_3; ``labels`` maps element -> class index."""
-    (z, a), get = g, labels.get
-    return [get((z - y, (a - b) % 3), -1) for y, b in r]
-
-
 def enumerate_windowed(
     window: int,
     projection: str | None = None,
@@ -254,27 +254,24 @@ def enumerate_windowed(
     from z^0 (:func:`_level_candidates`): {1} is a class, classes are
     star-closed, and each class projects modulo torsion onto one class of the
     discrete or symmetric ring over Z, so the torsion subgroup is an
-    S-subgroup.  Level k's frontier is each prefix of the one below, in
-    order, extended by each layout of level k that passes :func:`_closed`.
-    That test is exact on the window, so the last frontier is the census.
-    None of the paper's lemmas shapes the search; they are checked on finished
-    rings (``check-lemmas``).  ``projection`` filters to one projection type.
+    S-subgroup.  With the elements ordered by (|z|, g), :func:`_search` tries
+    the layouts of the next level in order; :func:`_closed` is exact on the
+    window, so every leaf is in the census.  None of the paper's lemmas
+    shapes the search; they are checked on finished rings (``check-lemmas``).
+    ``projection`` filters to one projection type.
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")
     group = GroupDescriptor(0, 3)
+    elems = sorted(group.window_elements(window), key=lambda g: (abs(g.z_exp), g))
     results = []
     for mode in ("discrete", "symmetric"):
         if projection and mode != projection:
             continue
-        frontier = [([frozenset([group.identity])], {group.identity: 0})]
+        levels = []  # level k's layouts, as classes of indices
         for k in range(window + 1):
-            layouts, previous, frontier = _level_candidates(group, k, mode), frontier, []
-            for classes, labels in previous:
-                for layout in layouts:
-                    extended = classes + list(layout)
-                    grown = labels | {g: i for i, c in enumerate(layout, len(classes)) for g in c}
-                    if _closed(extended, len(classes), partial(_window_row, grown)):
-                        frontier.append((extended, grown))
-        results += [SchurPresentation(group, classes, window=window) for classes, _ in frontier]
+            layouts = _level_candidates(group, k, mode)
+            levels.append([[frozenset(map(elems.index, c)) for c in layout] for layout in layouts])
+        leaves = _search(group, elems, lambda rest: levels[abs(elems[rest[0]].z_exp)])
+        results += (SchurPresentation(group, classes, window=window) for classes in leaves)
     return results

@@ -11,14 +11,15 @@ Class sums have non-negative integer coefficients.  :func:`verify_axioms`
 takes one row pass per class c: it reads the class labels of x^-1 g for every
 x in c and g in the window off one list, and so checks c against every class
 at once.  :func:`verify_wielandt` multiplies one pair at a time with
-:func:`class_product`, which counts products of exponent pairs.
-:class:`RingElement` stays the exact rational algebra for the span and
-multiplier checks; only the lemma checks that build ring elements load
-:mod:`sring.group_ring`.
+:func:`class_product`, which counts products of exponent pairs.  The lemma
+checks count in integers too.  :class:`RingElement` serves only the span
+checks, whose callers build it, so :mod:`sring.group_ring` is imported here
+for type checking alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress, islice
 from math import gcd
 from operator import itemgetter, ne
@@ -588,24 +589,20 @@ def multiplier_set_congruence(
 ) -> frozenset:
     """Cross-check oracle for :func:`multiplier_set` via the mod-p route.
 
-    Computes the p-th convolution power of the simple quantity of X, then
-    keeps the support where the (integral) coefficient is not divisible by p.
+    Computes the p-th power of the class sum of X as integer counts per
+    element, then keeps the support where the count is not divisible by p.
     """
-    from .group_ring import CoeffFn, simple_quantity
-
     G = P.group
     X = frozenset(G.element(*g) for g in X)
     _check_multiplier_preconditions(X, p, P)
-    power = simple_quantity(G, X)
+    power = Counter(X)
     for _ in range(p - 1):
-        power = power * simple_quantity(G, X)
-    table = {}
-    for v in set(power.terms().values()):
-        if v.denominator != 1:
-            raise ValueError("expected integral coefficients")
-        table[v] = 1 if v.numerator % p else 0
-    keep = CoeffFn.from_mapping(table, default=0)
-    return power.apply_coeff(keep).support()
+        step: Counter = Counter()
+        for g, count in power.items():
+            for x in X:
+                step[G.mul(g, x)] += count
+        power = step
+    return frozenset(g for g, count in power.items() if count % p)
 
 
 # -- lemma-style checks (used by check-lemmas and the acceptance suite) -------
@@ -618,11 +615,9 @@ def frobenius_closure_holds(P: SchurPresentation, k: int) -> tuple[bool, str]:
     multiplier theorem for k coprime to the order (Wielandt, *Finite Permutation
     Groups*, 1964, Thm 23.9).
     """
-    from .group_ring import simple_quantity
-
+    G = P.group
     for c in P.classes:
-        image = simple_quantity(P.group, c).frobenius(k)
-        if _split_level(image.terms(), P._member_class) is not None:
+        if _split_level(Counter(G.pow(g, k) for g in c), P._member_class) is not None:
             return False, f"class {_fmt_class(c)} breaks closure under power {k}"
     return True, f"all {len(P.classes)} classes closed under power {k} on the window"
 

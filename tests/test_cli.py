@@ -400,9 +400,19 @@ class TestCheckLemmasOnEveryCensusRing:
 
     @pytest.mark.parametrize("window", range(3, 7))
     def test_windowed(self, capsys, monkeypatch, window):
-        codes = [lemma_rows(capsys, monkeypatch, P.to_json())[0]
-                 for P in enumerate_windowed(window)]
-        assert codes == [0] * (11 * window + 4)
+        outcomes = [lemma_rows(capsys, monkeypatch, P.to_json())
+                    for P in enumerate_windowed(window)]
+        assert [code for code, _ in outcomes] == [0] * (11 * window + 4)
+        assert all(rows["small-class-powers"] for _, rows in outcomes)
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_windowed_below_window_3_has_no_small_class_powers_row(self, capsys, monkeypatch,
+                                                                   window):
+        # find_H cannot see a free S-subgroup below window 3, so the row is left out
+        outcomes = [lemma_rows(capsys, monkeypatch, P.to_json())
+                    for P in enumerate_windowed(window)]
+        assert [code for code, _ in outcomes] == [0] * (11 * window + 4)
+        assert all(list(rows)[-1] == "class-shape" for _, rows in outcomes)
 
 
 class TestConfigPrecedence:

@@ -676,3 +676,25 @@ class TestEnumerateWindowed:
                 kept = [layout for layout in new if all(len(c) != 3 for c in layout)]
                 assert len(new) - len(kept) == 3
                 assert layouts(kept) == layouts(sorted(old, key=key))
+
+
+# (calls, passes) of _closed over each census: a finite group by its label, or
+# Z x Z_3 by its window.  This pins the search's work: a search that tests
+# more or fewer class triples fails, even when its output is the same.
+CLOSED_WORK = {
+    "Z12": (523, 93), "Z16": (5800, 176), "Z2xZ6": (866, 201), "Z2xZ8": (6756, 521),
+    "Z4xZ4": (10005, 1519), 1: (36, 19), 2: (165, 45), 3: (391, 82), 6: (1651, 259),
+    12: (6790, 910),
+}
+
+
+@pytest.mark.parametrize("census", CLOSED_WORK, ids=str)
+def test_the_search_tests_each_triple_as_before(monkeypatch, census):
+    verdicts = []
+    monkeypatch.setattr(enumeration, "_closed", lambda *args: verdicts.append(_closed(*args))
+                        or verdicts[-1])
+    if isinstance(census, str):
+        enumerate_finite(parse_group(census))
+    else:
+        enumerate_windowed(census)
+    assert (len(verdicts), sum(verdicts)) == CLOSED_WORK[census]

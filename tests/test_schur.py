@@ -15,6 +15,7 @@ from sring import (
     SchurPresentation,
     Subgroup,
     discrete,
+    enumerate_windowed,
     generated_subgroup,
     is_sset,
     level_sets,
@@ -28,6 +29,7 @@ from sring import (
     verify_wielandt,
 )
 from sring.schur import (
+    _split_level,
     class_shape_holds,
     frobenius_closure_holds,
     multiplier_sets_hold,
@@ -271,6 +273,23 @@ class TestMultiplierSets:
         for P in (psi_ring, xi_ring):
             for c in P.classes:  # both count the whole class, inside the window or past it
                 assert multiplier_set(c, 3, P) == multiplier_set_congruence(c, 3, P)
+
+    def test_integer_counts_match_the_group_ring(self, G):
+        # the lemma rows count in integers; the rational algebra of RingElement
+        # must give the same power maps and multiplier sets
+        failing = [_discrete_with(G, 3, *REACH_3_NOT_A_RING), _discrete_with(G, 3, MERGED_INVERSES)]
+        for P in enumerate_windowed(4) + failing:
+            for c in P.classes:
+                X = simple_quantity(G, c)
+                cube = {g for g, v in (X * X * X).terms().items() if v % 3}
+                assert multiplier_set_congruence(c, 3, P) == cube
+            for k in (2, 4, 5, 7):
+                closed = all(
+                    _split_level(simple_quantity(G, c).frobenius(k).terms(), P._member_class)
+                    is None
+                    for c in P.classes
+                )
+                assert frobenius_closure_holds(P, k)[0] == closed
 
     def test_requires_sset(self, G, psi_ring):
         with pytest.raises(NotSSet):

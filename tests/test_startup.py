@@ -47,7 +47,7 @@ COMMANDS = {
     "construct": (["construct", "--kind", "discrete", "--window", "3"], "",
                   {"sring.constructions"}),
     "classify": (["classify", "-"], W3, {"sring.classify", "sring.constructions"}),
-    "check-lemmas": (["check-lemmas", "-"], W3, {"sring.group_ring"}),
+    "check-lemmas": (["check-lemmas", "-"], W3, set()),
     "enumerate": (["enumerate", "--group", "Z3"], "", {"sring.constructions", "sring.enumeration"}),
 }
 
