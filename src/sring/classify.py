@@ -15,7 +15,7 @@ class-for-class on its window.  A family descriptor is the recipe in words
 from __future__ import annotations
 
 from .constructions import Recipe, build, standard_part, torsion_tower
-from .errors import IncompatibleWedge, Unclassifiable, UnrecognizedQuotient, WindowTooSmall
+from .errors import IncompatibleWedge, Unclassifiable, UnrecognizedQuotient
 from .groups import (
     Automorphism,
     GroupElement,
@@ -26,7 +26,6 @@ from .groups import (
     json_value,
 )
 from .schur import (
-    MIN_CLASSIFY_WINDOW,
     Z_CROSS_Z3,
     SchurPresentation,
     check_partition,
@@ -118,17 +117,13 @@ def classify(P: SchurPresentation) -> Recipe:
     window, raising Unclassifiable otherwise (which, for genuinely verified
     inputs, the structure theorem rules out): an orbit recipe, with no
     generators for the full ring, or a wedge over the torsion subgroup.  A
-    partition with a gap or an overlap raises MalformedPartition.  Windows
-    below 3 are rejected.  Re-synthesis certifies any answer; a small window
-    costs uniqueness only: a torsion wedge (every level full) shares its
-    window with 1, 3, 3 or 4 wedges of step window + 1.
+    partition with a gap or an overlap raises MalformedPartition.  Re-synthesis
+    certifies the answer at every window; a small window costs uniqueness
+    only: a torsion wedge (every level full) shares its window with 1, 3, 3 or
+    4 wedges of step window + 1.
     """
     check_partition(P)
     _require_group(P)
-    if P.window < MIN_CLASSIFY_WINDOW:
-        raise WindowTooSmall(
-            f"window {P.window} < {MIN_CLASSIFY_WINDOW}; classification needs to see the classes of z, z^2, z^3"
-        )
     recipe = _classify_core(P, projection_type(P))
     if resynthesize(recipe, P.window).classes != P.classes:
         raise Unclassifiable(

@@ -2,18 +2,16 @@
 
 Exit codes: 0 success (verify: valid or valid-up-to-window), 1 invalid
 presentation or unclassifiable input, 2 malformed input (argparse exits 2 on a
-bad command line), 3 window too small.  Only :func:`run` maps exceptions to
-them, printing ``{"error": ...}`` or ``<label>: <message>`` on stdout.  JSON
-input is read strictly: a count, exponent or window must be a JSON integer.
-With ``--json`` every stdout line is a JSON document; otherwise output is a
-small human-readable table.
+bad command line), 3 window too small for a construction.  Only :func:`run`
+maps exceptions to them, printing ``{"error": ...}`` or ``<label>: <message>``
+on stdout.  JSON input is read strictly: a count, exponent or window must be a
+JSON integer.  With ``--json`` every stdout line is a JSON document; otherwise
+output is a small human-readable table.
 
 Each call loads only what its command runs: ``classify``, ``constructions``
-and ``enumeration`` are imported inside the commands that use them.
-
-Configuration precedence for defaults (window, bounds): command-line flag,
-then the SRING_* environment variable, then a key=value config file passed
-via --config, then the built-in default.
+and ``enumeration`` are imported inside the commands that use them.  A setting
+comes from its flag alone: ``construct --window`` (default 12) and ``enumerate
+--finite-bound`` (default 16).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from pathlib import Path
 from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
 from .schur import (
-    MIN_CLASSIFY_WINDOW,
+    MIN_FIND_H_WINDOW,
     Z_CROSS_Z3,
     SchurPresentation,
     class_shape_holds,
@@ -61,33 +59,6 @@ MAX_CONSTRUCT_ELEMENTS = 10**6
 
 # The window construct uses when none is set; classify is most certain from it on.
 RECOMMENDED_WINDOW = 12
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip().strip('"')
-    return values
-
-
-def resolve_setting(args: argparse.Namespace, key: str, default: int) -> int:
-    """One setting a command reads: flag > environment > config file > default."""
-    file_values = _load_config_file(args.config) if args.config else {}
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    value = os.environ.get(f"SRING_{key.upper()}", file_values.get(key, default))
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"setting {key} must be an integer, got {value!r}") from None
 
 
 _GROUP_RE = re.compile(r"^Z(?:(\d+))?(?:xZ(\d+))?$", re.IGNORECASE)
@@ -150,20 +121,19 @@ def _require_size(count: int) -> None:
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
 
-    window = resolve_setting(args, "window", RECOMMENDED_WINDOW)
     params = json_value(_load_json(args.params or "{}"), dict, "--params")
     group = parse_group(json_field(params, "group", str, "ZxZ3"))
     if args.kind != "tensor":
         _require_size(
-            (2 * window + 1) * group.torsion_order if group.is_infinite else group.order
+            (2 * args.window + 1) * group.torsion_order if group.is_infinite else group.order
         )
     if args.kind == "discrete":
-        P = discrete(group, window)
+        P = discrete(group, args.window)
     elif args.kind == "trivial":
         P = trivial(group)
     elif args.kind == "orbit":
         gens = [automorphism_from_json(g, group) for g in json_field(params, "gens", list, [])]
-        P = orbit_ring(group, gens, window)
+        P = orbit_ring(group, gens, args.window)
     elif args.kind == "tensor":
         left = SchurPresentation.from_json(json_field(params, "left", dict))
         right = SchurPresentation.from_json(json_field(params, "right", dict))
@@ -175,7 +145,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             json_field(params, "step", int, 0),
             json_field(params, "inner", str, "discrete"),
             json_field(params, "outer", str, "discrete"),
-            window,
+            args.window,
         )
     print(json.dumps(P.to_json(), sort_keys=True))
     return EXIT_OK
@@ -187,7 +157,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     P = _read_presentation(args.presentation)
     try:
         recipe = classify(P)
-    except (MalformedPartition, WindowTooSmall):
+    except MalformedPartition:
         raise
     except (SchurError, ValueError) as ex:  # a partition that fits no family
         raise Unclassifiable(str(ex)) from ex
@@ -217,7 +187,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.projection is not None:
             raise ValueError("--projection applies only with --windowed")
         group = parse_group(args.group)
-        bound = resolve_setting(args, "finite_bound", DEFAULT_FINITE_BOUND)
+        bound = DEFAULT_FINITE_BOUND if args.finite_bound is None else args.finite_bound
         presentations = enumerate_finite(group, bound=bound)
         label = args.group
         histogram = {}
@@ -259,7 +229,7 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
         rows.append(("multiplier-sets p=3", ok, msg))
         ok, msg = class_shape_holds(P)
         rows.append(("class-shape", ok, msg))
-        if P.window >= MIN_CLASSIFY_WINDOW:
+        if P.window >= MIN_FIND_H_WINDOW:
             try:
                 ok, msg = power_in_subgroup_holds(P, find_H(P))
             except SchurError as ex:  # find_H: pure-z levels that form no subgroup
@@ -285,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic toolkit for Schur rings over Z x Z_3 and finite analogues.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON on stdout")
-    parser.add_argument("--config", help="key=value config file for defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify the Schur-ring axioms of a presentation")
@@ -299,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["discrete", "trivial", "orbit", "tensor", "wedge"],
     )
     p_construct.add_argument("--params", default="{}", help="construction parameters as JSON")
-    p_construct.add_argument("--window", type=int, default=None)
+    p_construct.add_argument("--window", type=int, default=RECOMMENDED_WINDOW)
     p_construct.set_defaults(func=_cmd_construct)
 
     p_classify = sub.add_parser("classify", help="identify the family of a presentation")

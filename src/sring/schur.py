@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 
 
 Z_CROSS_Z3 = GroupDescriptor(0, 3)
-MIN_CLASSIFY_WINDOW = 3  # shows the classes of z, z^2 and z^3, which find_H and classify read
+MIN_FIND_H_WINDOW = 3  # shows the classes of z, z^2 and z^3, which find_H reads
 
 
 def _class_key(cls: frozenset) -> tuple:
@@ -658,9 +658,9 @@ def find_H(P: SchurPresentation) -> Subgroup:
     """
     if P.group != Z_CROSS_Z3:
         raise ValueError(f"classification is defined over Z x Z_3, got {P.group}")
-    if P.window < MIN_CLASSIFY_WINDOW:
+    if P.window < MIN_FIND_H_WINDOW:
         raise WindowTooSmall(
-            f"window {P.window} cannot certify a free S-subgroup (need >= {MIN_CLASSIFY_WINDOW})"
+            f"window {P.window} cannot certify a free S-subgroup (need >= {MIN_FIND_H_WINDOW})"
         )
     pure = []
     for k in range(1, P.window + 1):

@@ -274,9 +274,11 @@ class TestRoundTrip:
 
 
 class TestGuards:
-    def test_window_too_small(self, G):
-        with pytest.raises(WindowTooSmall):
-            classify(discrete(G, 2))
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_every_ring_below_window_3_classifies(self, window):
+        # no window floor: re-synthesis alone certifies each answer
+        for P in enumerate_windowed(window):
+            assert resynthesize(classify(P), window).classes == P.classes
 
     def test_unclassifiable_mixed_pattern(self, G):
         # singleton levels 1..2 with a full coset at level 3 cannot happen in

@@ -188,3 +188,12 @@ def test_check_lemmas_gives_a_verdict_on_every_partition(P):
     code, _, out, err = call(["--json", "check-lemmas", "-"], json.dumps(P.to_json()))
     assert code in (0, 1), out + err
     assert all(isinstance(check["ok"], bool) for check in json.loads(out)["checks"])
+
+
+@given(partitions(), st.booleans())
+@settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
+def test_classify_gives_a_verdict_on_every_partition(P, resynthesize):
+    # a well-formed partition at any window is classified (0) or not (1)
+    argv = ["--json", "classify", *(["--resynthesize"] if resynthesize else []), "-"]
+    code, _, out, err = call(argv, json.dumps(P.to_json()))
+    assert code in (0, 1), out + err
