@@ -22,6 +22,7 @@ from .schur import (
     SchurPresentation,
     class_stabilizer,
     quotient,
+    reach,
     restrict,
     shadow,
     verify_axioms,
@@ -215,63 +216,41 @@ def is_traditional(P: SchurPresentation) -> Recipe:
 # -- windowed enumeration over Z x Z_3 ----------------------------------------
 
 
-def _level_candidates(group: GroupDescriptor, k: int, mode: str) -> list[tuple[frozenset, ...]]:
-    """The class layouts of the z-levels +-k, sorted.
-
-    A layout is a star-closed set partition of the torsion cosets at +-k (less
-    the identity) whose every class projects modulo torsion onto one class of
-    the ``mode`` ring over Z: {k} or {-k} if discrete, {k, -k} if symmetric.
-    Layouts grow class by class from :func:`_star_pairs`, a class with another
-    shadow ending its branch, and list their classes by least element.  At
-    level 0 both modes give the two partitions of {a, a^2}.
-    """
-    shadows = [{k}, {-k}] if mode == "discrete" else [{k, -k}]
-    slab = (group.coset_of_torsion(k) | group.coset_of_torsion(-k)) - {group.identity}
-    inv = {g: group.inverse(g) for g in slab}
-
-    def layouts(remaining: list) -> Iterator[list[frozenset]]:
-        if not remaining:
-            yield []
-            return
-        for fresh in _star_pairs(remaining, inv):
-            if all(shadow(c) in shadows for c in fresh):
-                for rest in layouts(sorted(set(remaining).difference(*fresh))):
-                    yield fresh + rest
-
-    out = [tuple(sorted(parts, key=min)) for parts in layouts(sorted(slab))]
-    return sorted(out, key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
-
-
 def enumerate_windowed(
     window: int,
     projection: str | None = None,
 ) -> list[SchurPresentation]:
-    """The star-closed partitions of the window of Z x Z_3 whose classes
-    project onto the classes of a ring over Z, and that verify_axioms
-    accepts: every product of two classes is constant on every class.
+    """The level-local, star-closed partitions of the window of Z x Z_3 that
+    verify_axioms accepts: every product of two classes is constant on every
+    class.
 
-    The search uses the axioms alone.  It lays out the classes level by level
-    from z^0 (:func:`_level_candidates`): {1} is a class, classes are
-    star-closed, and each class projects modulo torsion onto one class of the
-    discrete or symmetric ring over Z, so the torsion subgroup is an
-    S-subgroup.  With the elements ordered by (|z|, g), :func:`_search` tries
-    the layouts of the next level in order; :func:`_closed` is exact on the
-    window, so every leaf is in the census.  None of the paper's lemmas
+    The search uses the axioms alone and one assumption, that each class lies
+    in the levels +-k of one k.  With the elements ordered by (|z|, g),
+    :func:`_search` runs as for a finite group, its options the star pairs
+    (:func:`_star_pairs`) of the unplaced elements on the level of the least
+    one; :func:`_closed` is exact on the window, so every leaf is in the
+    census.  The projection modulo torsion is found, not assumed: a ring is
+    symmetric when the class of z has shadow {1, -1}, else discrete, and
+    ``projection`` filters to one type.  The rings are listed discrete first,
+    then by each level's classes from level 0.  None of the paper's lemmas
     shapes the search; they are checked on finished rings (``check-lemmas``).
-    ``projection`` filters to one projection type.
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")
     group = GroupDescriptor(0, 3)
     elems = sorted(group.window_elements(window), key=lambda g: (abs(g.z_exp), g))
-    results = []
-    for mode in ("discrete", "symmetric"):
-        if projection and mode != projection:
-            continue
-        levels = []  # level k's layouts, as classes of indices
-        for k in range(window + 1):
-            layouts = _level_candidates(group, k, mode)
-            levels.append([[frozenset(map(elems.index, c)) for c in layout] for layout in layouts])
-        leaves = _search(group, elems, lambda rest: levels[abs(elems[rest[0]].z_exp)])
-        results += (SchurPresentation(group, classes, window=window) for classes in leaves)
-    return results
+    inv = [elems.index(group.inverse(g)) for g in elems]
+
+    def options(remaining: Sequence) -> Iterator[list[frozenset]]:
+        level = abs(elems[remaining[0]].z_exp)
+        return _star_pairs([i for i in remaining if abs(elems[i].z_exp) == level], inv)
+
+    def mode(P: SchurPresentation) -> str:
+        return "symmetric" if shadow(P.class_of((1, 0))) == {1, -1} else "discrete"
+
+    def order(P: SchurPresentation) -> tuple:
+        return mode(P) == "symmetric", sorted((reach(c), sorted(c)) for c in P.classes)
+
+    leaves = _search(group, elems, options)
+    rings = (SchurPresentation(group, classes, window=window) for classes in leaves)
+    return sorted((P for P in rings if projection in (None, mode(P))), key=order)

@@ -156,7 +156,10 @@ class GroupDescriptor(Record):
     @classmethod
     def from_json(cls, data) -> "GroupDescriptor":
         data = json_value(data, dict, "group")
-        free = 0 if data.get("free") == "Z" else json_field(data, "free", int)
+        if data.get("free") == "Z":
+            free = 0
+        elif (free := json_field(data, "free", int)) < 1:  # 0 encodes Z, which is written "Z"
+            raise ValueError(f'free order must be positive, got {free} (write "Z" for Z x Z_m)')
         return cls(free, json_field(data, "torsion", int))
 
 

@@ -76,6 +76,8 @@ INPUTS = {
     "float_exponent": FLOAT_EXPONENT,
     "out_of_window": OUT_OF_WINDOW,
     "finite_window": FINITE_WINDOW,
+    # Z x Z_3 is written "Z", as to_json writes it; free order 0 is refused as in parse_group
+    "free_zero": {"group": {"free": 0, "torsion": 3}, "window": 1, "classes": _discrete_w1(3)},
     "huge_window": {**ZZ1, "window": 10**12},
     **{f"window_{name}": {**ZZ1, "window": value}
        for name, value in (("bool", True), ("float", 1.0), ("string", "1"))},
@@ -113,7 +115,7 @@ MALFORMED = [
     *[pytest.param([*command.split(), f"@{name}"], id=f"{command}-{name}")
       for command in ("verify", "classify", "check-lemmas")
       for name in ("array", "group5", "classes5", "float_exponent", "deep", "huge_window",
-                   "finite_window")],
+                   "finite_window", "free_zero")],
     *[pytest.param(["verify", f"@{field}_{kind}"], id=f"verify-{field}-{kind}")
       for field in ("window", "torsion") for kind in ("bool", "float", "string")],
     *[pytest.param([*command.split(), "@out_of_window"], id=f"{command}-out-of-window")

@@ -34,14 +34,14 @@ from sring import (
 )
 from sring.cli import parse_group
 from sring.constructions import _direct_product
-from sring.enumeration import MAX_WINDOW, _closed, _level_candidates, _star_pairs
+from sring.enumeration import MAX_WINDOW, _closed, _star_pairs
 from sring.groups import close_automorphisms
 from sring.schur import is_ssubgroup, reach, shadow, star
 
 # enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded while the window search still pruned with
-# the paper's lemmas.  The output is not sorted, so this pins the search order
-# as well.
+# the paper's lemmas.  This pins the order of the rings as well, which the
+# search's final sort must reproduce.
 WINDOWED_GOLDEN = json.loads((Path(__file__).parent / "windowed_golden.json").read_text())
 
 # SHA-256 of the lines that `sring --json enumerate --windowed w` prints for
@@ -72,6 +72,11 @@ def _set_partitions(items):
 @cache
 def _census(spec):
     return enumerate_finite(GroupDescriptor(*spec), bound=18)
+
+
+# enumerate_windowed(window, projection), shared by the tests that read whole
+# censuses; call it with both arguments, as the cache keys on them as given
+_windowed = cache(enumerate_windowed)
 
 
 @st.composite
@@ -540,17 +545,20 @@ class TestEnumerateWindowed:
         for P in enumerate_windowed(3):
             assert verify_axioms(P).ok
 
-    def test_projection_filter_excludes_discrete(self, G):
-        out = enumerate_windowed(3, projection="symmetric")
-        windows = {P.classes for P in out}
-        assert discrete(G, 3).classes not in windows
-        assert out and all(projection_type(P) == "symmetric" for P in out)
+    @pytest.mark.parametrize("window", range(1, MAX_WINDOW + 1))
+    def test_projection_filter_excludes_discrete(self, G, window):
+        # the projection is found, not assumed: each filter keeps only rings
+        # of its own projection type
+        assert discrete(G, window) not in _windowed(window, "symmetric")
+        for mode in ("discrete", "symmetric"):
+            out = _windowed(window, mode)
+            assert out and all(projection_type(P) == mode for P in out)
 
-    def test_union_of_filters_is_everything(self):
-        both = {P.classes for P in enumerate_windowed(3)}
-        split = {P.classes for P in enumerate_windowed(3, projection="discrete")}
-        split |= {P.classes for P in enumerate_windowed(3, projection="symmetric")}
-        assert both == split
+    @pytest.mark.parametrize("window", range(1, MAX_WINDOW + 1))
+    def test_union_of_filters_is_everything(self, window):
+        # the two filters partition the census, discrete rings first
+        split = _windowed(window, "discrete") + _windowed(window, "symmetric")
+        assert split == _windowed(window, None)
 
     def test_determinism(self):
         assert [P.classes for P in enumerate_windowed(3)] == [
@@ -576,19 +584,30 @@ class TestEnumerateWindowed:
     def test_output_digest(self, window, projection):
         lines = "".join(
             json.dumps(P.to_json(), sort_keys=True) + "\n"
-            for P in enumerate_windowed(window, projection)
+            for P in _windowed(window, projection)
         )
         digest = hashlib.sha256(lines.encode()).hexdigest()
         assert digest == WINDOWED_SHA256[f"{window} {projection or 'all'}"]
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_the_leaf_check_alone_gives_the_census(self, G, window):
-        # with no pruning, the layout combinations that verify_axioms accepts
-        # are exactly the census: the search keeps a layout when _closed
-        # passes, and _closed tests the same triples, so it needs no leaf check
+        # the census is every level-local, star-closed partition of the window
+        # that verify_axioms accepts, whatever its projection: a level's
+        # layouts are the star-closed set partitions of its slab at z^+-k, less
+        # the identity.  At w = 3 (59,582 combinations) the layouts are first
+        # cut to the shadows of one projection at a time.
+        fits = [lambda c, k: True]
+        if window == 3:
+            fits = [lambda c, k: shadow(c) in ({k}, {-k}), lambda c, k: shadow(c) == {k, -k}]
         found = set()
-        for mode in ("discrete", "symmetric"):
-            levels = [_level_candidates(G, k, mode) for k in range(window + 1)]
+        for fit in fits:
+            levels = []
+            for k in range(window + 1):
+                slab = (G.coset_of_torsion(k) | G.coset_of_torsion(-k)) - {G.identity}
+                levels.append([
+                    parts for parts in _set_partitions(slab)
+                    if {star(c, G) for c in parts} == set(parts) and all(fit(c, k) for c in parts)
+                ])
             for layouts in product(*levels):
                 P = SchurPresentation(G, [[G.identity], *chain(*layouts)], window=window)
                 if verify_axioms(P).ok:
@@ -629,62 +648,14 @@ class TestEnumerateWindowed:
             assert sorted(Counter(fibres.values()).items()) == [
                 (1, 11 * (w - 1)), (2, 1), (4, 2), (5, 1)], w
 
-    @pytest.mark.parametrize("k", range(7))
-    @pytest.mark.parametrize("mode", ["discrete", "symmetric"])
-    def test_level_candidates_are_the_star_closed_set_partitions(self, G, k, mode):
-        # the definition: every set partition of the slab at z^+-k, less the
-        # identity, that is star-closed and whose classes project onto the
-        # mode's shadows, sorted; classes in the order of their least element
-        shadows = [{k}, {-k}] if mode == "discrete" else [{k, -k}]
-        slab = (G.coset_of_torsion(k) | G.coset_of_torsion(-k)) - {G.identity}
-        expected = [
-            tuple(parts)
-            for parts in _set_partitions(slab)
-            if all(shadow(c) in shadows for c in parts)
-            and {star(c, G) for c in parts} == set(parts)
-        ]
-        expected.sort(key=lambda layout: sorted(tuple(sorted(c)) for c in layout))
-        assert _level_candidates(G, k, mode) == expected
-
-
-    @pytest.mark.parametrize("k", range(5))
-    def test_level_candidates_against_the_lemma_pruned_generator(self, G, k):
-        # the two-branch generator of the lemma-pruned search, kept as the
-        # reference; it seeded level 0 with the two torsion layouts
-        key = lambda layout: sorted(tuple(sorted(c)) for c in layout)
-        a, a2 = G.element(0, 1), G.element(0, 2)
-        torsion = [(frozenset([a]), frozenset([a2])), (frozenset([a, a2]),)]
-        discrete = [
-            tuple(parts) + tuple(star(c, G) for c in parts)
-            for parts in _set_partitions(G.coset_of_torsion(k))
-        ]
-        symmetric = [
-            tuple(parts)
-            for parts in _set_partitions(G.coset_of_torsion(k) | G.coset_of_torsion(-k))
-            if all(len({g.z_exp > 0 for g in c}) == 2 for c in parts)
-            and all(len(c) != 3 for c in parts)
-            and {star(c, G) for c in parts} == set(parts)
-        ]
-        layouts = lambda out: [set(layout) for layout in out]
-        for mode, old in (("discrete", discrete), ("symmetric", symmetric)):
-            new = _level_candidates(G, k, mode)
-            if k == 0:
-                assert layouts(new) == layouts(torsion)
-            elif mode == "discrete":
-                assert layouts(new) == layouts(sorted(old, key=key))
-            else:
-                kept = [layout for layout in new if all(len(c) != 3 for c in layout)]
-                assert len(new) - len(kept) == 3
-                assert layouts(kept) == layouts(sorted(old, key=key))
-
 
 # (calls, passes) of _closed over each census: a finite group by its label, or
 # Z x Z_3 by its window.  This pins the search's work: a search that tests
 # more or fewer class triples fails, even when its output is the same.
 CLOSED_WORK = {
     "Z12": (523, 93), "Z16": (5800, 176), "Z2xZ6": (866, 201), "Z2xZ8": (6756, 521),
-    "Z4xZ4": (10005, 1519), 1: (36, 19), 2: (165, 45), 3: (391, 82), 6: (1651, 259),
-    12: (6790, 910),
+    "Z4xZ4": (10005, 1519), 1: (64, 29), 2: (336, 80), 3: (769, 142), 6: (3031, 433),
+    12: (11557, 1351),
 }
 
 

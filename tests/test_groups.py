@@ -178,7 +178,8 @@ class TestDescriptorJson:
         "raw",
         [5, "ZxZ3", [0, 3], {"torsion": 3}, {"free": "Z"}, {"free": "Z", "torsion": True},
          {"free": "Z", "torsion": 3.0}, {"free": "Z", "torsion": "3"}, {"free": "4", "torsion": 3},
-         {"free": "z", "torsion": 3}, {"free": None, "torsion": 3}],
+         {"free": "z", "torsion": 3}, {"free": None, "torsion": 3}, {"free": 0, "torsion": 3},
+         {"free": -2, "torsion": 3}],
     )
     def test_json_shape_rejected(self, raw):
         with pytest.raises(ValueError):
