@@ -29,7 +29,7 @@ _HOMES = {
     "enumeration": ("enumerate_finite", "enumerate_windowed", "is_traditional"),
     "errors": (
         "BadPrime", "BadTower", "BoundExceeded", "IncompatibleWedge", "InfiniteGroup",
-        "InvalidAutomorphism", "InvalidCoeffFn", "MalformedPartition", "NotInSpan", "NotSSet",
+        "InvalidAutomorphism", "InvalidCoeffFn", "MalformedPartition", "NotSSet",
         "NotSSubgroup", "SchurError", "Unclassifiable", "UnrecognizedQuotient",
         "UnsupportedProduct", "WindowTooSmall", "ZeroElement",
     ),
@@ -41,9 +41,8 @@ _HOMES = {
     ),
     "schur": (
         "SchurPresentation", "VerificationReport", "Witness", "class_stabilizer", "find_H",
-        "generated_subgroup", "is_sset", "is_ssubgroup", "level_sets", "multiplier_set",
-        "multiplier_set_congruence", "quotient", "restrict", "torsion_is_ssubgroup",
-        "verify_axioms", "verify_wielandt",
+        "is_sset", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence", "quotient",
+        "restrict", "torsion_is_ssubgroup", "verify_axioms", "verify_wielandt",
     ),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}

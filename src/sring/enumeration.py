@@ -237,6 +237,8 @@ def enumerate_windowed(
     """
     if window < 1 or window > MAX_WINDOW:
         raise BoundExceeded(f"window must be between 1 and {MAX_WINDOW}")
+    if projection not in (None, "discrete", "symmetric"):
+        raise ValueError(f"projection must be 'discrete' or 'symmetric', not {projection!r}")
     group = GroupDescriptor(0, 3)
     elems = sorted(group.window_elements(window), key=lambda g: (abs(g.z_exp), g))
     inv = [elems.index(group.inverse(g)) for g in elems]

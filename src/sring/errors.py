@@ -21,10 +21,6 @@ class MalformedPartition(SchurError):
     """Classes overlap, are empty, or fail to cover the group/window."""
 
 
-class NotInSpan(SchurError):
-    """Element is not in the span of the presentation's class sums."""
-
-
 class NotSSubgroup(SchurError):
     """Subgroup is not a union of classes of the presentation."""
 

@@ -12,9 +12,7 @@ takes one row pass per class c: it reads the class labels of x^-1 g for every
 x in c and g in the window off one list, and so checks c against every class
 at once.  :func:`verify_wielandt` multiplies one pair at a time with
 :func:`class_product`, which counts products of exponent pairs.  The lemma
-checks count in integers too.  :class:`RingElement` serves only the span
-checks, whose callers build it, so :mod:`sring.group_ring` is imported here
-for type checking alone.
+checks count in integers too, so no function here takes a group-ring element.
 """
 
 from __future__ import annotations
@@ -23,12 +21,11 @@ from collections import Counter
 from itertools import compress, islice
 from math import gcd
 from operator import itemgetter, ne
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     BadPrime,
     MalformedPartition,
-    NotInSpan,
     NotSSet,
     NotSSubgroup,
     Unclassifiable,
@@ -48,11 +45,6 @@ from .groups import (
     json_int_pair,
     json_value,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .group_ring import RingElement
 
 
 Z_CROSS_Z3 = GroupDescriptor(0, 3)
@@ -237,15 +229,15 @@ def class_product(
     return counts
 
 
-def split_class(prod: Mapping, member: Mapping, order: Iterable | None = None) -> frozenset | None:
+def split_class(prod: Mapping, member: Mapping) -> frozenset | None:
     """The first class that prod meets but is not constant on, or None.
 
     prod stores no zero coefficients and member maps element -> class;
     elements of prod outside member are skipped.  Classes are met in the
-    order of ``order`` (default: prod's own), each tested once.
+    order of prod's sorted elements, each tested once.
     """
     seen: set[frozenset] = set()
-    for g in prod if order is None else order:
+    for g in sorted(prod):
         e = member.get(g)
         if e is None or e in seen:
             continue
@@ -348,7 +340,7 @@ def verify_axioms(P: SchurPresentation) -> VerificationReport:
     if split is None:
         return _report(P, pairs)
     product = class_product(*split, P.group)
-    e = split_class(product, P._member_class, order=sorted(product))
+    e = split_class(product, P._member_class)
     detail = f"product is not constant on class {_fmt_class(e)}"
     return _report(P, pairs, Witness("product-closure", *map(_class_key, split), detail))
 
@@ -442,31 +434,7 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
     return _report(P, pairs)
 
 
-# -- span membership and S-subgroups -----------------------------------------
-
-
-def _require_in_span(alpha: RingElement, P: SchurPresentation) -> None:
-    terms = alpha.terms()
-    for g in terms:
-        if P.class_of(g) is None:
-            raise NotInSpan(f"support element {format_element(g)} lies outside the partition")
-    c = split_class(terms, P._member_class)
-    if c is not None:
-        raise NotInSpan(f"coefficients are not constant on class {_fmt_class(c)}")
-
-
-def level_sets(alpha: RingElement, P: SchurPresentation) -> list[tuple[Fraction, frozenset]]:
-    """Partition the support of alpha by coefficient value.
-
-    Each part is an S-set of P (the Schur-Wielandt principle): alpha is
-    constant on every class it meets, so a level set holds whole classes.
-    NotInSpan is raised when alpha is not in the span of P's class sums.
-    """
-    _require_in_span(alpha, P)
-    by_value: dict = {}
-    for g, v in alpha.terms().items():
-        by_value.setdefault(v, set()).add(g)
-    return [(v, frozenset(by_value[v])) for v in sorted(by_value, reverse=True)]
+# -- S-subgroups --------------------------------------------------------------
 
 
 def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
@@ -485,17 +453,6 @@ def class_stabilizer(P: SchurPresentation) -> list[Automorphism]:
         for phi in all_automorphisms(P.group)
         if all(phi.apply_set(c) == c for c in P.classes)
     ]
-
-
-def generated_subgroup(alpha: RingElement, P: SchurPresentation) -> Subgroup:
-    """The subgroup generated by the support of alpha; always an S-subgroup."""
-    _require_in_span(alpha, P)
-    H = Subgroup.generated_by(P.group, alpha.support())
-    if not is_ssubgroup(P, H):
-        raise NotSSubgroup(
-            f"<supp(alpha)> = {H} is split by a class; the presentation is not a Schur ring"
-        )
-    return H
 
 
 def restrict(P: SchurPresentation, H: Subgroup) -> SchurPresentation:

@@ -1,7 +1,8 @@
 import hashlib
 import json
+import re
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import chain, product
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from sring import (
 )
 from sring.cli import parse_group
 from sring.constructions import _direct_product
-from sring.enumeration import MAX_WINDOW, _closed, _star_pairs
+from sring.enumeration import MAX_WINDOW, _closed, _search, _star_pairs
 from sring.groups import close_automorphisms
 from sring.schur import is_ssubgroup, reach, shadow, star
 
@@ -571,6 +572,11 @@ class TestEnumerateWindowed:
         with pytest.raises(BoundExceeded):
             enumerate_windowed(0)
 
+    @pytest.mark.parametrize("projection", ["Symmetric", "twisted", ""])
+    def test_an_unknown_projection_is_refused(self, projection):
+        with pytest.raises(ValueError, match=re.escape(repr(projection))):
+            enumerate_windowed(3, projection)
+
     @pytest.mark.parametrize("window", range(1, 7))
     @pytest.mark.parametrize("projection", [None, "discrete", "symmetric"])
     def test_golden_output_order(self, window, projection):
@@ -612,6 +618,28 @@ class TestEnumerateWindowed:
                 P = SchurPresentation(G, [[G.identity], *chain(*layouts)], window=window)
                 if verify_axioms(P).ok:
                     found.add(P)
+        assert found == set(enumerate_windowed(window))
+
+    # (calls, passes) of _closed in the search below, at w = 1, 2 and 3
+    UNRESTRICTED_WORK = {1: (97, 29), 2: (2703, 92), 3: (97967, 337)}
+
+    @pytest.mark.parametrize("window", UNRESTRICTED_WORK)
+    def test_the_axioms_alone_force_level_locality(self, monkeypatch, G, window):
+        # the census assumes each class lies in the levels +-k of one k.  Run
+        # over the whole window in (|z|, g) order with the star pairs of every
+        # unplaced element as options, not cut to one level, the search
+        # yields every star-closed partition that _closed accepts, which is
+        # exact on the window: the same rings, so the axioms force the shape
+        elems = sorted(G.window_elements(window), key=lambda g: (abs(g.z_exp), g))
+        inv = [elems.index(G.inverse(g)) for g in elems]
+        verdicts = []
+        monkeypatch.setattr(enumeration, "_closed", lambda *args: verdicts.append(_closed(*args))
+                            or verdicts[-1])
+        leaves = list(_search(G, elems, partial(_star_pairs, inv=inv)))
+        assert (len(verdicts), sum(verdicts)) == self.UNRESTRICTED_WORK[window]
+        found = {SchurPresentation(G, classes, window=window) for classes in leaves}
+        assert len(found) == len(leaves)
+        assert all(verify_axioms(P).ok for P in found)
         assert found == set(enumerate_windowed(window))
 
     def test_the_search_makes_no_leaf_check(self, monkeypatch):

@@ -123,12 +123,11 @@ class TestRoutesAgree:
 
 
 class TestHelpers:
-    def test_split_class_finds_the_first_split_class_in_the_given_order(self):
+    def test_split_class_finds_the_first_split_class_in_sorted_order(self):
         low, high = frozenset({(0, 1), (0, 2)}), frozenset({(1, 1), (1, 2)})
         member = {g: c for c in (low, high) for g in c}
         prod = {(1, 1): 2, (1, 2): 1, (0, 1): 1, (5, 0): 3}  # (5, 0) is in no class
-        assert split_class(prod, member) == high
-        assert split_class(prod, member, order=sorted(prod)) == low
+        assert split_class(prod, member) == low
         assert split_class({(0, 1): 4, (0, 2): 4, (5, 0): 1}, member) is None
         assert split_class({(0, 1): 4}, member) == low  # a missing element counts as 0
 

@@ -7,7 +7,6 @@ from sring import (
     GroupDescriptor,
     GroupElement,
     MalformedPartition,
-    NotInSpan,
     NotSSet,
     NotSSubgroup,
     BadPrime,
@@ -16,9 +15,8 @@ from sring import (
     Subgroup,
     discrete,
     enumerate_windowed,
-    generated_subgroup,
     is_sset,
-    level_sets,
+    is_ssubgroup,
     multiplier_set,
     multiplier_set_congruence,
     quotient,
@@ -154,29 +152,34 @@ class TestVerification:
             assert verify_axioms(P).verdict == verify_wielandt(P).verdict
 
 
+def levels(alpha) -> dict:
+    """The support of alpha grouped by coefficient value."""
+    parts: dict = {}
+    for g, v in alpha.terms().items():
+        parts.setdefault(v, set()).add(g)
+    return {v: frozenset(part) for v, part in parts.items()}
+
+
 class TestLevelSets:
+    """Schur-Wielandt: each level set of an element of the span is an S-set."""
+
     def test_spec_example(self, G, psi_ring):
         alpha = RingElement(G, {(1, 0): 2, (1, 1): 2, (1, 2): 1})
-        levels = level_sets(alpha, psi_ring)
-        assert levels == [
-            (Fraction(2), frozenset({(1, 0), (1, 1)})),
-            (Fraction(1), frozenset({(1, 2)})),
-        ]
+        parts = levels(alpha)
+        assert parts == {
+            Fraction(2): frozenset({(1, 0), (1, 1)}),
+            Fraction(1): frozenset({(1, 2)}),
+        }
+        assert all(is_sset(psi_ring, part) for part in parts.values())
 
     def test_torsion_sum_single_level(self, G, psi_ring):
         alpha = simple_quantity(G, [(0, 0), (0, 1), (0, 2)])
-        levels = level_sets(alpha, psi_ring)
-        assert levels == [(Fraction(1), frozenset({(0, 0), (0, 1), (0, 2)}))]
+        parts = levels(alpha)
+        assert parts == {Fraction(1): frozenset({(0, 0), (0, 1), (0, 2)})}
         # the single level splits over two classes
-        part = levels[0][1]
+        part = parts[Fraction(1)]
+        assert is_sset(psi_ring, part)
         assert psi_ring.class_of((0, 0)) < part and psi_ring.class_of((0, 1)) < part
-
-    def test_zero_gives_empty(self, G, psi_ring):
-        assert level_sets(RingElement(G), psi_ring) == []
-
-    def test_not_in_span(self, G, psi_ring):
-        with pytest.raises(NotInSpan):
-            level_sets(RingElement(G, {(1, 0): 1}), psi_ring)  # half of a class
 
     def test_random_span_elements_have_sset_levels(self, G, psi_ring, xi_ring):
         rng = random.Random(4321)
@@ -186,28 +189,37 @@ class TestLevelSets:
                 alpha = RingElement(G)
                 for c in picked:
                     alpha = alpha + simple_quantity(G, c).scale(rng.randint(-3, 3))
-                for _, part in level_sets(alpha, P):
+                for part in levels(alpha).values():
                     assert is_sset(P, part)
 
 
 class TestGeneratedSubgroup:
+    """Schur-Wielandt: the subgroup generated by the support of an element of
+    the span is an S-subgroup."""
+
+    @staticmethod
+    def generated(alpha, P) -> Subgroup:
+        H = Subgroup.generated_by(P.group, alpha.support())
+        assert is_ssubgroup(P, H)
+        return H
+
     def test_symmetric_pair(self, G, xi_ring):
         alpha = simple_quantity(G, [(3, 0), (-3, 0)])
-        assert generated_subgroup(alpha, xi_ring).z_index == 3
+        assert self.generated(alpha, xi_ring).z_index == 3
 
     def test_torsion(self, G, psi_ring):
         alpha = simple_quantity(G, [(0, 1), (0, 2)])
-        H = generated_subgroup(alpha, psi_ring)
+        H = self.generated(alpha, psi_ring)
         assert H.order == 3
 
     def test_full_group(self, G, psi_ring):
         alpha = simple_quantity(G, [(1, 0), (1, 1)])
-        assert generated_subgroup(alpha, psi_ring).is_full
+        assert self.generated(alpha, psi_ring).is_full
 
     def test_twisted_from_discrete(self, G):
         P = discrete(G, 4)
         alpha = simple_quantity(G, [(1, 1)])
-        H = generated_subgroup(alpha, P)
+        H = self.generated(alpha, P)
         assert H.contains((2, 2)) and not H.contains((0, 1))
 
 
