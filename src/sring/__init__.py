@@ -18,6 +18,9 @@ __version__ = "0.1.0"
 
 # home submodule -> the names the package exports from it
 _HOMES = {
+    "automorphisms": (
+        "Automorphism", "all_automorphisms", "class_stabilizer", "named_automorphism", "orbit",
+    ),
     "classify": (
         "classify", "describe_recipe", "projection_type", "recipe_from_json", "recipe_to_json",
         "resynthesize",
@@ -34,16 +37,16 @@ _HOMES = {
         "UnsupportedProduct", "WindowTooSmall", "ZeroElement",
     ),
     "group_ring": ("CoeffFn", "RingElement", "monomial", "one", "simple_quantity", "zero"),
-    "groups": (
-        "Automorphism", "GroupDescriptor", "GroupElement", "QuotientMap", "Subgroup",
-        "all_automorphisms", "all_subgroups", "format_element", "named_automorphism", "orbit",
-        "parse_element",
+    "groups": ("GroupDescriptor", "GroupElement", "format_element", "parse_element"),
+    "lemmas": (
+        "find_H", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence", "quotient",
+        "restrict", "torsion_is_ssubgroup",
     ),
     "schur": (
-        "SchurPresentation", "VerificationReport", "Witness", "class_stabilizer", "find_H",
-        "is_sset", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence", "quotient",
-        "restrict", "torsion_is_ssubgroup", "verify_axioms", "verify_wielandt",
+        "SchurPresentation", "VerificationReport", "Witness", "is_sset", "verify_axioms",
+        "verify_wielandt",
     ),
+    "subgroups": ("QuotientMap", "Subgroup", "all_subgroups"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
 _SUBMODULES = frozenset(_HOMES) | {"cli"}
@@ -77,3 +80,29 @@ class _Package(ModuleType):
 
 
 sys.modules[__name__].__class__ = _Package
+
+
+class _Forwarding(ModuleType):
+    """A submodule some of whose names moved to other submodules.
+
+    ``_MOVED`` maps each such name to its home.  Reading the name imports the
+    home and binds the name here too.  Binding it here binds it at the home as
+    well, so a function replaced through the old path is replaced for the
+    callers inside its home; ``perfbench/layers.py`` wraps functions that way,
+    by their old module.  Any other name, dunder names such as ``__path__``
+    included, imports nothing.
+    """
+
+    def __getattr__(self, name: str):
+        home = vars(self)["_MOVED"].get(name)
+        if home is None:
+            raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{__name__}.{home}"), name)
+        super().__setattr__(name, value)
+        return value
+
+    def __setattr__(self, name: str, value) -> None:
+        home = vars(self)["_MOVED"].get(name)
+        if home is not None:
+            setattr(import_module(f"{__name__}.{home}"), name, value)
+        super().__setattr__(name, value)

@@ -16,25 +16,16 @@ from __future__ import annotations
 
 from .constructions import Recipe, build, standard_part, torsion_tower
 from .errors import IncompatibleWedge, Unclassifiable, UnrecognizedQuotient
-from .groups import (
+from .automorphisms import (
     Automorphism,
-    GroupElement,
-    QuotientMap,
     automorphism_from_json,
     canonical_generators,
-    json_field,
-    json_value,
-)
-from .schur import (
-    Z_CROSS_Z3,
-    SchurPresentation,
-    check_partition,
     class_stabilizer,
-    is_ssubgroup,
-    restrict,
-    shadow,
-    torsion_is_ssubgroup,
 )
+from .groups import GroupElement, json_field, json_value
+from .lemmas import is_ssubgroup, restrict, torsion_is_ssubgroup
+from .schur import Z_CROSS_Z3, SchurPresentation, check_partition, shadow
+from .subgroups import QuotientMap
 
 DISCRETE = "discrete"
 SYMMETRIC = "symmetric"

@@ -8,10 +8,11 @@ on stdout.  JSON input is read strictly: a count, exponent or window must be a
 JSON integer.  With ``--json`` every stdout line is a JSON document; otherwise
 output is a small human-readable table.
 
-Each call loads only what its command runs: ``classify``, ``constructions``
-and ``enumeration`` are imported inside the commands that use them.  A setting
-comes from its flag alone: ``construct --window`` (default 12) and ``enumerate
---finite-bound`` (default 16).
+Each call loads only what its command runs: ``verify`` loads ``groups`` and
+``schur`` alone, and ``automorphisms``, ``lemmas``, ``constructions``,
+``classify`` and ``enumeration`` are imported inside the commands that use
+them.  A setting comes from its flag alone: ``construct --window`` (default
+12) and ``enumerate --finite-bound`` (default 16).
 """
 
 from __future__ import annotations
@@ -25,20 +26,8 @@ from math import gcd
 from pathlib import Path
 
 from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
-from .groups import GroupDescriptor, automorphism_from_json, json_field, json_value
-from .schur import (
-    MIN_FIND_H_WINDOW,
-    Z_CROSS_Z3,
-    SchurPresentation,
-    class_shape_holds,
-    find_H,
-    frobenius_closure_holds,
-    multiplier_sets_hold,
-    power_in_subgroup_holds,
-    torsion_subgroup_holds,
-    verify_axioms,
-    verify_wielandt,
-)
+from .groups import GroupDescriptor, json_field, json_value
+from .schur import Z_CROSS_Z3, SchurPresentation, verify_axioms, verify_wielandt
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -119,6 +108,7 @@ def _require_size(count: int) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .automorphisms import automorphism_from_json
     from .constructions import discrete, orbit_ring, standard_wedge, tensor, trivial
 
     params = json_value(_load_json(args.params or "{}"), dict, "--params")
@@ -207,6 +197,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
+    from .lemmas import (
+        MIN_FIND_H_WINDOW,
+        class_shape_holds,
+        find_H,
+        frobenius_closure_holds,
+        multiplier_sets_hold,
+        power_in_subgroup_holds,
+        torsion_subgroup_holds,
+    )
+
     P = _read_presentation(args.presentation)
     G = P.group
     report = verify_axioms(P)

@@ -19,17 +19,11 @@ from .errors import (
     UnsupportedProduct,
     WindowTooSmall,
 )
-from .groups import (
-    Automorphism,
-    GroupDescriptor,
-    GroupElement,
-    QuotientMap,
-    Record,
-    Subgroup,
-    _setattr,
-    orbit,
-)
-from .schur import SchurPresentation, is_ssubgroup, reach
+from .automorphisms import Automorphism, orbit
+from .groups import GroupDescriptor, GroupElement, Record, _setattr
+from .lemmas import is_ssubgroup
+from .schur import SchurPresentation, reach
+from .subgroups import QuotientMap, Subgroup
 
 
 def _require_window(group: GroupDescriptor, window: int) -> None:

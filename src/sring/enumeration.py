@@ -13,20 +13,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .constructions import Recipe, _direct_product, wedge
 from .errors import BoundExceeded, InfiniteGroup
-from .groups import (
-    GroupDescriptor,
-    all_subgroups,
-    canonical_generators,
-)
-from .schur import (
-    SchurPresentation,
-    class_stabilizer,
-    quotient,
-    reach,
-    restrict,
-    shadow,
-    verify_axioms,
-)
+from .automorphisms import canonical_generators, class_stabilizer
+from .groups import GroupDescriptor
+from .lemmas import quotient, restrict
+from .schur import SchurPresentation, reach, shadow, verify_axioms
+from .subgroups import all_subgroups
 
 DEFAULT_FINITE_BOUND = 16
 MAX_WINDOW = 12

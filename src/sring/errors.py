@@ -18,7 +18,8 @@ class ZeroElement(SchurError):
 
 
 class MalformedPartition(SchurError):
-    """Classes overlap, are empty, or fail to cover the group/window."""
+    """Classes overlap, are empty, fail to cover the group/window, or, read
+    from JSON, name an element twice or with an unreduced exponent."""
 
 
 class NotSSubgroup(SchurError):

@@ -11,7 +11,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvalidCoeffFn, ZeroElement
-from .groups import GroupDescriptor, GroupElement, Record, Subgroup, _setattr, format_element
+from .groups import GroupDescriptor, GroupElement, Record, _setattr, format_element
+from .subgroups import Subgroup
 
 Rational = int | Fraction
 

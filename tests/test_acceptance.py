@@ -39,7 +39,7 @@ from sring import (
 )
 from sring.constructions import IncompatibleWedge, torsion_tower
 from sring.enumeration import MAX_WINDOW
-from sring.schur import (
+from sring.lemmas import (
     class_shape_holds,
     frobenius_closure_holds,
     multiplier_sets_hold,

@@ -38,7 +38,7 @@ from sring import (
 from sring.cli import run
 from sring.constructions import torsion_tower
 from sring.enumeration import enumerate_windowed
-from sring.schur import quotient, torsion_is_ssubgroup
+from sring.lemmas import quotient, torsion_is_ssubgroup
 
 # [human line, --json line] of `sring classify` for each ring of
 # enumerate_windowed(12), in its order

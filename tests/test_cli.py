@@ -69,7 +69,29 @@ MERGED_INVERSES = {
     "classes": [[[-3, 0], [-1, 0]]] + [[[z, a]] for z in range(-3, 4) for a in range(3)
                                        if (z, a) not in ((-3, 0), (-1, 0))],
 }
+# Exponents off their range, and an element named twice in one class: each
+# would reduce or merge into a valid ring, so the input is refused instead.
+# name -> (presentation, the error that names the element)
+LEVEL_1 = [[[z, a]] for z in (-1, 1) for a in range(3)]
+UNREDUCED = {
+    "torsion_negative": ({"group": {"free": "Z", "torsion": 3}, "window": 1,
+                          "classes": [[[0, 0]], [[0, 1], [0, 2], [0, -1]], *LEVEL_1]},
+                         "element [0, -1]: torsion exponent outside [0, 3)"),
+    "torsion_too_large": ({"group": {"free": "Z", "torsion": 3}, "window": 1,
+                           "classes": [[[0, 0]], [[0, 1], [0, 5]], *LEVEL_1]},
+                          "element [0, 5]: torsion exponent outside [0, 3)"),
+    "free_negative": ({"group": {"free": 3, "torsion": 1}, "window": 0,
+                       "classes": [[[0, 0]], [[1, 0], [-1, 0]]]},
+                      "element [-1, 0]: free exponent outside [0, 3)"),
+    "free_too_large": ({"group": {"free": 3, "torsion": 1}, "window": 0,
+                        "classes": [[[3, 0]], [[1, 0], [2, 0]]]},
+                       "element [3, 0]: free exponent outside [0, 3)"),
+    "repeated": ({"group": {"free": 2, "torsion": 1}, "window": 0,
+                  "classes": [[[0, 0]], [[1, 0], [1, 0]]]},
+                 "element [1, 0] appears twice in one class"),
+}
 INPUTS = {
+    **{name: data for name, (data, _) in UNREDUCED.items()},
     "array": [],
     "group5": {"group": 5, "window": 1, "classes": []},
     "classes5": {"group": {"free": "Z", "torsion": 3}, "window": 1, "classes": 5},
@@ -120,6 +142,9 @@ MALFORMED = [
       for field in ("window", "torsion") for kind in ("bool", "float", "string")],
     *[pytest.param([*command.split(), "@out_of_window"], id=f"{command}-out-of-window")
       for command in ("classify", "classify --resynthesize")],
+    *[pytest.param([*command.split(), f"@{name}"], id=f"{command}-{name}")
+      for command in ("verify", "check-lemmas", "classify --resynthesize")
+      for name in UNREDUCED],
 ]
 
 
@@ -468,6 +493,11 @@ class TestInputBoundary:
         assert (code, err) == (2, "") and out.startswith("malformed: ")
         code, out, err = outcome(capsys, paths(["--json", *argv]))
         assert (code, err) == (2, "") and set(json.loads(out)) == {"error"}
+
+    @pytest.mark.parametrize("name", UNREDUCED)
+    def test_unreduced_or_repeated_element_is_named(self, capsys, paths, name):
+        code, out, _ = outcome(capsys, paths(["--json", "verify", f"@{name}"]))
+        assert (code, json.loads(out)) == (2, {"error": UNREDUCED[name][1]})
 
     def test_float_exponent_is_not_truncated(self, capsys, paths):
         code, out, _ = outcome(capsys, paths(["verify", "@float_exponent"]))

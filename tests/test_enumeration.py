@@ -36,8 +36,9 @@ from sring import (
 from sring.cli import parse_group
 from sring.constructions import _direct_product
 from sring.enumeration import MAX_WINDOW, _closed, _search, _star_pairs
-from sring.groups import close_automorphisms
-from sring.schur import is_ssubgroup, reach, shadow, star
+from sring.automorphisms import close_automorphisms
+from sring.lemmas import is_ssubgroup
+from sring.schur import reach, shadow, star
 
 # enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded while the window search still pruned with

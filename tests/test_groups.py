@@ -151,7 +151,7 @@ class TestAutomorphisms:
         assert Automorphism.inversion(G) == autos["xi"]
 
     def test_json_roundtrip(self, G, autos):
-        from sring.groups import automorphism_from_json
+        from sring.automorphisms import automorphism_from_json
 
         assert automorphism_from_json("rho", G) == autos["rho"]
         raw = {"z": [1, -1], "a": 1}
@@ -163,7 +163,7 @@ class TestAutomorphisms:
          {"z": [True, -1], "a": 1}, {"z": [1, -1], "a": "1"}, {"z": "1,-1", "a": 1}],
     )
     def test_json_shape_rejected(self, G, raw):
-        from sring.groups import automorphism_from_json
+        from sring.automorphisms import automorphism_from_json
 
         with pytest.raises(ValueError):
             automorphism_from_json(raw, G)

@@ -26,13 +26,13 @@ from sring import (
     verify_axioms,
     verify_wielandt,
 )
-from sring.schur import (
-    _split_level,
+from sring.lemmas import (
     class_shape_holds,
     frobenius_closure_holds,
     multiplier_sets_hold,
     power_in_subgroup_holds,
 )
+from sring.schur import _split_level
 
 
 # {1}, {a, a^2}, {z^-1, z a^2}, {z^-1 a, z}, {z^-1 a^2, z a}: star-closed, but
@@ -382,6 +382,20 @@ class TestSerialization:
         assert data["group"] == {"free": "Z", "torsion": 3}
         again = SchurPresentation.from_json(data)
         assert again.classes == psi_ring.classes and again.window == psi_ring.window
+
+    @pytest.mark.parametrize(
+        "group,classes,window",
+        [(GroupDescriptor(0, 3), [[(0, 0)], [(0, -2), (0, 5)], [(-1, 3), (1, -3)]], 1),
+         (GroupDescriptor(3, 2), [[(3, 2)], [(-1, 0), (4, -2)], [(0, 1)], [(2, 1), (1, 3)]], 0)],
+        ids=["ZxZ3", "Z3xZ2"],
+    )
+    def test_constructor_reduces_and_to_json_writes_reduced_exponents(
+        self, group, classes, window
+    ):
+        data = SchurPresentation(group, classes, window=window).to_json()
+        n, m = group.free_order, group.torsion_order
+        assert all(0 <= a < m and (not n or 0 <= z < n) for c in data["classes"] for z, a in c)
+        assert SchurPresentation.from_json(data).to_json() == data
 
     @pytest.mark.parametrize(
         "patch",

@@ -20,6 +20,8 @@ W3 = json.dumps(discrete(GroupDescriptor(0, 3), 3).to_json())
 
 # home submodule -> the names ``sring`` exports from it
 PUBLIC = {
+    "automorphisms": ["Automorphism", "all_automorphisms", "class_stabilizer",
+                      "named_automorphism", "orbit"],
     "classify": ["classify", "describe_recipe", "projection_type", "recipe_from_json",
                  "recipe_to_json", "resynthesize"],
     "constructions": ["Recipe", "build", "discrete", "orbit_ring", "standard_wedge",
@@ -30,25 +32,26 @@ PUBLIC = {
                "NotSSubgroup", "SchurError", "Unclassifiable", "UnrecognizedQuotient",
                "UnsupportedProduct", "WindowTooSmall", "ZeroElement"],
     "group_ring": ["CoeffFn", "RingElement", "monomial", "one", "simple_quantity", "zero"],
-    "groups": ["Automorphism", "GroupDescriptor", "GroupElement", "QuotientMap", "Subgroup",
-               "all_automorphisms", "all_subgroups", "format_element", "named_automorphism",
-               "orbit", "parse_element"],
-    "schur": ["SchurPresentation", "VerificationReport", "Witness", "class_stabilizer", "find_H",
-              "is_sset", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence",
-              "quotient", "restrict", "torsion_is_ssubgroup", "verify_axioms",
+    "groups": ["GroupDescriptor", "GroupElement", "format_element", "parse_element"],
+    "lemmas": ["find_H", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence",
+               "quotient", "restrict", "torsion_is_ssubgroup"],
+    "schur": ["SchurPresentation", "VerificationReport", "Witness", "is_sset", "verify_axioms",
               "verify_wielandt"],
+    "subgroups": ["QuotientMap", "Subgroup", "all_subgroups"],
 }
 
 # `python -m sring.cli` runs the cli as __main__, so it is not listed as sring.cli
 BASE = {"sring", "sring.errors", "sring.groups", "sring.schur"}
+# the homes of the code that verify never runs
+MOVED_OUT = {"sring.automorphisms", "sring.lemmas", "sring.subgroups"}
+BUILDERS = MOVED_OUT | {"sring.constructions"}
 # command line, stdin, and the sring modules the call loads besides BASE
 COMMANDS = {
     "verify": (["verify", "-"], W3, set()),
-    "construct": (["construct", "--kind", "discrete", "--window", "3"], "",
-                  {"sring.constructions"}),
-    "classify": (["classify", "-"], W3, {"sring.classify", "sring.constructions"}),
-    "check-lemmas": (["check-lemmas", "-"], W3, set()),
-    "enumerate": (["enumerate", "--group", "Z3"], "", {"sring.constructions", "sring.enumeration"}),
+    "construct": (["construct", "--kind", "discrete", "--window", "3"], "", BUILDERS),
+    "classify": (["classify", "-"], W3, BUILDERS | {"sring.classify"}),
+    "check-lemmas": (["check-lemmas", "-"], W3, {"sring.lemmas", "sring.subgroups"}),
+    "enumerate": (["enumerate", "--group", "Z3"], "", BUILDERS | {"sring.enumeration"}),
 }
 
 
@@ -77,11 +80,38 @@ def test_a_command_loads_only_what_it_runs(interpreter_modules, command):
     loaded = imported("-m", "sring.cli", *argv, stdin=stdin) - interpreter_modules
     assert "dataclasses" not in loaded
     assert {name for name in loaded if name.startswith("sring")} == BASE | extra
+    assert command != "verify" or not loaded & MOVED_OUT
 
 
 def test_import_sring_loads_no_submodule(interpreter_modules):
     loaded = imported("-c", "import sring") - interpreter_modules
     assert {name for name in loaded if name.startswith("sring")} == {"sring"}
+
+
+def sring_modules_after(code: str, stdin: str = "") -> set[str]:
+    """The sring modules a fresh interpreter holds once ``code`` has run.
+
+    Unlike ``-X importtime``, this also sees a module that
+    ``importlib.import_module`` loaded, as a module ``__getattr__`` would.
+    """
+    script = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('sring')))"
+    proc = python("-c", script, stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "code,stdin,expected",
+    [
+        ("from sring.groups import GroupDescriptor", "", BASE - {"sring.schur"}),
+        ("from sring.schur import SchurPresentation", "", BASE),
+        ("import sring.cli\nsring.cli.run(['--json', 'verify', '-'])", W3, BASE | {"sring.cli"}),
+    ],
+    ids=["from-groups", "from-schur", "verify"],
+)
+def test_no_route_loads_a_moved_out_home(code, stdin, expected):
+    # `from .groups import X` asks the module for __path__, which must not load a home
+    assert sring_modules_after(code, stdin) == expected
 
 
 CLASSIFY_IS_THE_FUNCTION = """
@@ -134,7 +164,8 @@ def test_submodules_and_dir_resolve_lazily():
     script = """
 import json, sys
 import sring
-homes = ["cli", "constructions", "enumeration", "errors", "group_ring", "groups", "schur"]
+homes = ["automorphisms", "cli", "constructions", "enumeration", "errors", "group_ring",
+         "groups", "lemmas", "schur", "subgroups"]
 for home in homes:
     assert getattr(sring, home) is sys.modules["sring." + home], home
 assert not hasattr(sring, "no_such_name")
