@@ -4,12 +4,12 @@ Elements of the group are written z^k * a^i; ring elements are finite sums
 with rational coefficients, and every operation is exact.
 """
 
-from sring import CoeffFn, GroupDescriptor, monomial, parse_element, simple_quantity
+from sring import CoeffFn, GroupDescriptor, monomial, simple_quantity
 
 G = GroupDescriptor(0, 3)  # infinite <z> times <a> of order 3
 
-z = monomial(G, parse_element("z"))
-az_inv = monomial(G, parse_element("z^-1*a"))
+z = monomial(G, G.element(1, 0))
+az_inv = monomial(G, G.element(-1, 1))
 
 print("parsing and printing:", z + az_inv)
 
@@ -21,7 +21,7 @@ print("(z + az^-1)^2 =", square)
 print("level set of 2:", square.apply_coeff(CoeffFn.level(2)))
 
 # star transports to inverses; the n-th transport maps g to g^n
-pair = monomial(G, parse_element("z^-1*a")) + monomial(G, parse_element("z*a^2"))
+pair = monomial(G, G.element(-1, 1)) + monomial(G, G.element(1, 2))
 print("pair       =", pair)
 print("pair*      =", pair.star())
 print("pair^(2)   =", pair.frobenius(2))

@@ -22,8 +22,7 @@ _HOMES = {
         "Automorphism", "all_automorphisms", "class_stabilizer", "named_automorphism", "orbit",
     ),
     "classify": (
-        "classify", "describe_recipe", "projection_type", "recipe_from_json", "recipe_to_json",
-        "resynthesize",
+        "classify", "describe_recipe", "projection_type", "recipe_to_json", "resynthesize",
     ),
     "constructions": (
         "Recipe", "build", "discrete", "orbit_ring", "standard_wedge", "symmetric", "tensor",
@@ -37,14 +36,14 @@ _HOMES = {
         "UnsupportedProduct", "WindowTooSmall", "ZeroElement",
     ),
     "group_ring": ("CoeffFn", "RingElement", "monomial", "one", "simple_quantity", "zero"),
-    "groups": ("GroupDescriptor", "GroupElement", "format_element", "parse_element"),
+    "groups": ("GroupDescriptor", "GroupElement", "format_element"),
     "lemmas": (
-        "find_H", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence", "quotient",
-        "restrict", "torsion_is_ssubgroup",
+        "find_H", "multiplier_set", "multiplier_set_congruence", "quotient", "restrict",
+        "torsion_is_ssubgroup",
     ),
     "schur": (
-        "SchurPresentation", "VerificationReport", "Witness", "is_sset", "verify_axioms",
-        "verify_wielandt",
+        "SchurPresentation", "VerificationReport", "Witness", "is_sset", "is_ssubgroup",
+        "verify_axioms", "verify_wielandt",
     ),
     "subgroups": ("QuotientMap", "Subgroup", "all_subgroups"),
 }

@@ -15,16 +15,11 @@ class-for-class on its window.  A family descriptor is the recipe in words
 from __future__ import annotations
 
 from .constructions import Recipe, build, standard_part, torsion_tower
-from .errors import IncompatibleWedge, Unclassifiable, UnrecognizedQuotient
-from .automorphisms import (
-    Automorphism,
-    automorphism_from_json,
-    canonical_generators,
-    class_stabilizer,
-)
-from .groups import GroupElement, json_field, json_value
-from .lemmas import is_ssubgroup, restrict, torsion_is_ssubgroup
-from .schur import Z_CROSS_Z3, SchurPresentation, check_partition, shadow
+from .errors import Unclassifiable, UnrecognizedQuotient
+from .automorphisms import Automorphism, canonical_generators, class_stabilizer
+from .groups import GroupElement
+from .lemmas import restrict, torsion_is_ssubgroup
+from .schur import Z_CROSS_Z3, SchurPresentation, check_partition, is_ssubgroup, shadow
 from .subgroups import QuotientMap
 
 DISCRETE = "discrete"
@@ -188,42 +183,3 @@ def recipe_to_json(recipe: Recipe, window: int) -> dict:
         "inner": recipe_to_json(inner, 0) if step else _kind_name(inner),
         "outer": _kind_name(outer),
     }
-
-
-def recipe_from_json(data) -> Recipe:
-    """Read :func:`recipe_to_json` output as a recipe over Z x Z_3; ValueError
-    on any other shape.
-
-    The window is checked but not kept.  A wedge's inner ring is a kind
-    ("discrete" or "trivial") over the torsion subgroup at step 0, and a kind
-    ("discrete" or "symmetric") or a nested descriptor at a step of 2 or more,
-    over the middle subgroup <z^step> x <a>, which is Z x Z_3 again.
-    """
-    G = Z_CROSS_Z3
-    data = json_value(data, dict, "family descriptor")
-    variant = json_field(data, "variant", str)
-    json_field(data, "window", int, 0)
-    if variant == "full":
-        symmetric = json_field(data, "symmetric", bool, False)
-        return Recipe("orbit", generators=(Automorphism.inversion(G),) if symmetric else ())
-    if variant == "orbit":
-        gens = json_field(data, "generators", list, [])
-        return Recipe("orbit", generators=tuple(automorphism_from_json(g, G) for g in gens))
-    if variant == "wedge":
-        tower = json_field(data, "tower", dict, {})
-        if json_field(tower, "K", int, 0) != 0:
-            raise ValueError(f"tower K must be 0, the torsion subgroup, got {tower['K']}")
-        step = json_field(tower, "H", int, 0)
-        K, H = torsion_tower(G, step)
-        h_desc = H.as_group()[0]
-        inner = data.get("inner")
-        if isinstance(inner, dict):
-            if not step:  # the middle subgroup is the torsion subgroup
-                raise IncompatibleWedge(f"inner presentation is over {G}, expected {h_desc}")
-            inner = recipe_from_json(inner)
-        else:
-            inner = standard_part(json_field(data, "inner", str), h_desc, "inner")
-        outer = json_field(data, "outer", str, DISCRETE)
-        outer = standard_part(outer, QuotientMap(G, K).descriptor, "outer")
-        return Recipe("wedge", subgroups=(K, H), parts=(inner, outer))
-    raise ValueError(f"unknown variant {variant!r}")

@@ -27,7 +27,9 @@ from pathlib import Path
 
 from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, json_field, json_value
-from .schur import Z_CROSS_Z3, SchurPresentation, verify_axioms, verify_wielandt
+from .schur import (
+    Z_CROSS_Z3, SchurPresentation, check_partition, verify_axioms, verify_wielandt,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -127,6 +129,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "tensor":
         left = SchurPresentation.from_json(json_field(params, "left", dict))
         right = SchurPresentation.from_json(json_field(params, "right", dict))
+        check_partition(left)
+        check_partition(right)
         _require_size(sum(map(len, left.classes)) * sum(map(len, right.classes)))
         P = tensor(left, right)
     else:  # wedge; argparse restricts the choices

@@ -21,8 +21,7 @@ from .errors import (
 )
 from .automorphisms import Automorphism, orbit
 from .groups import GroupDescriptor, GroupElement, Record, _setattr
-from .lemmas import is_ssubgroup
-from .schur import SchurPresentation, reach
+from .schur import SchurPresentation, is_ssubgroup, reach, splits
 from .subgroups import QuotientMap, Subgroup
 
 
@@ -161,8 +160,7 @@ def wedge(
 
     # The inner and outer rings are compared on H/K in the coordinates of G/K.
     inner_classes = [frozenset(h_coords.from_sub(g) for g in c) for c in inner.classes]
-    k_elems = frozenset(K.elements())
-    if not all(c <= k_elems or c.isdisjoint(k_elems) for c in inner_classes):
+    if splits(inner_classes, frozenset(K.elements())):
         raise IncompatibleWedge("K is not an S-subgroup of the inner presentation")
     h_image = Subgroup.generated_by(qm.descriptor, [qm.project(g) for g in H.generators()])
     if not is_ssubgroup(outer, h_image):

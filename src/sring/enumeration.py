@@ -16,7 +16,7 @@ from .errors import BoundExceeded, InfiniteGroup
 from .automorphisms import canonical_generators, class_stabilizer
 from .groups import GroupDescriptor
 from .lemmas import quotient, restrict
-from .schur import SchurPresentation, reach, shadow, verify_axioms
+from .schur import SchurPresentation, reach, shadow, splits, verify_axioms
 from .subgroups import all_subgroups
 
 DEFAULT_FINITE_BOUND = 16
@@ -68,21 +68,12 @@ def _star_pairs(remaining: Sequence, inv: Sequence | Mapping) -> Iterator[list[f
             yield [cls, frozenset(inv[g] for g in cls)]
 
 
-def _subsets(remaining: Sequence) -> Iterator[list[frozenset]]:
-    """Every subset of ``remaining`` holding its least element."""
-    least, rest = remaining[0], remaining[1:]
-    for mask in range(2 ** len(rest)):
-        yield [frozenset([least] + [rest[i] for i in range(len(rest)) if mask >> i & 1])]
-
-
-def _search(
-    group: GroupDescriptor, elems: Sequence, options: Callable, prune: bool = True
-) -> Iterator[list[list]]:
+def _search(group: GroupDescriptor, elems: Sequence, options: Callable) -> Iterator[list[list]]:
     """The partitions of ``elems`` (``elems[0]`` the identity) that the
     backtracking search completes.  A node puts the least unplaced index into
-    the fresh classes of each ``options(remaining)`` in turn; with ``prune``
-    a branch is cut where :func:`_closed` fails.  ``over[g][x]`` is the index
-    of x^-1 g, ``len(elems)`` off the window, whose label stays -1.
+    the fresh classes of each ``options(remaining)`` in turn, and a branch is
+    cut where :func:`_closed` fails.  ``over[g][x]`` is the index of x^-1 g,
+    ``len(elems)`` off the window, whose label stays -1.
     """
     index = {g: i for i, g in enumerate(elems)}
     off = len(elems)
@@ -101,7 +92,7 @@ def _search(
             for i, c in enumerate(fresh, len(classes)):
                 for g in c:
                     labels[g] = i
-            if not prune or _closed(extended, len(classes), row):
+            if _closed(extended, len(classes), row):
                 yield from extend(extended, tuple(g for g in remaining if labels[g] < 0))
             for c in fresh:
                 for g in c:
@@ -111,19 +102,15 @@ def _search(
 
 
 def enumerate_finite(
-    group: GroupDescriptor,
-    bound: int = DEFAULT_FINITE_BOUND,
-    prune: bool = True,
+    group: GroupDescriptor, bound: int = DEFAULT_FINITE_BOUND
 ) -> list[SchurPresentation]:
     """All Schur-ring partitions of a finite group, sorted by their classes.
 
-    :func:`_search` runs on the sorted elements.  ``prune=False`` tries every
-    subset of the unassigned elements holding the least one.  With ``prune``
-    only star-closed classes or class-and-star pairs are tried
-    (:func:`_star_pairs`), exactly the subsets that pass the star axiom, so
-    no ring is lost; and a branch is cut when a class triple it completes
-    fails :func:`_closed`, which is exact, so every leaf is a ring.  The
-    final arbiter is verify_axioms either way, so both modes agree.
+    :func:`_search` runs on the sorted elements.  Only star-closed classes or
+    class-and-star pairs are tried (:func:`_star_pairs`), exactly the subsets
+    that pass the star axiom, so no ring is lost; and a branch is cut when a
+    class triple it completes fails :func:`_closed`, which is exact, so every
+    leaf is a ring.  verify_axioms is the final arbiter all the same.
     """
     if group.is_infinite:
         raise InfiniteGroup("enumeration needs a finite group")
@@ -131,8 +118,8 @@ def enumerate_finite(
         raise BoundExceeded(f"|G| = {group.order} exceeds bound {bound}")
     elems = sorted(group.elements())
     inv = [elems.index(group.inverse(g)) for g in elems]
-    options = partial(_star_pairs, inv=inv) if prune else _subsets
-    leaves = map(partial(SchurPresentation, group), _search(group, elems, options, prune))
+    options = partial(_star_pairs, inv=inv)
+    leaves = map(partial(SchurPresentation, group), _search(group, elems, options))
     results = [P for P in leaves if verify_axioms(P).ok]
     return sorted(results, key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
 
@@ -177,7 +164,7 @@ def is_traditional(P: SchurPresentation) -> Recipe:
         for H in all_subgroups(G)
         if not H.is_trivial and H.order != G.order
         for h_elems in [frozenset(H.elements())]
-        if all(c <= h_elems or c.isdisjoint(h_elems) for c in P.classes)
+        if not splits(P.classes, h_elems)
     ]
 
     # P's parts, each computed once and only when a candidate first needs it

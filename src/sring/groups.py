@@ -11,7 +11,6 @@ maps in :mod:`sring.subgroups`, so that a command which needs neither, such as
 
 from __future__ import annotations
 
-import re
 import sys
 from operator import attrgetter
 from typing import Iterator, NamedTuple
@@ -204,10 +203,6 @@ def json_int_pair(value, what: str) -> tuple[int, int]:
 
 # -- text form --------------------------------------------------------------
 
-_ELEMENT_RE = re.compile(
-    r"^\s*(?:(?P<one>1)|(?P<z>z(?:\^(?P<zk>-?\d+))?)?\*?(?P<a>a(?:\^(?P<ak>-?\d+))?)?)\s*$"
-)
-
 
 def format_element(g: GroupElement) -> str:
     """Render an element as e.g. "z^3*a^2"; unit factors are omitted."""
@@ -217,27 +212,6 @@ def format_element(g: GroupElement) -> str:
     if g.a_exp:
         parts.append("a" if g.a_exp == 1 else f"a^{g.a_exp}")
     return "*".join(parts) if parts else "1"
-
-
-def parse_element(text: str, group: GroupDescriptor | None = None) -> GroupElement:
-    """Parse the text form produced by :func:`format_element`.
-
-    The separating "*" is optional, so "z^5a^2" is accepted too.
-    """
-    match = _ELEMENT_RE.match(text)
-    if not match or (not match.group("one") and not match.group("z") and not match.group("a")):
-        raise ValueError(f"not a group element: {text!r}")
-    if match.group("one"):
-        z_exp = a_exp = 0
-    else:
-        z_exp = 0
-        if match.group("z"):
-            z_exp = int(match.group("zk")) if match.group("zk") is not None else 1
-        a_exp = 0
-        if match.group("a"):
-            a_exp = int(match.group("ak")) if match.group("ak") is not None else 1
-    g = GroupElement(z_exp, a_exp)
-    return group.reduce(g) if group is not None else g
 
 
 # names that moved to their own modules -> that module; see sring._Forwarding

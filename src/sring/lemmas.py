@@ -1,11 +1,12 @@
-"""S-subgroups, restriction and quotient, multiplier sets, and the lemma rows.
+"""Restriction and quotient, multiplier sets, and the lemma rows.
 
-What a Schur ring's structure theory says about a verified presentation:
-which subgroups are unions of classes (:func:`is_ssubgroup`), the rings they
-give on H and on G/K (:func:`restrict`, :func:`quotient`), Schur's multiplier
-sets, the maximal free S-subgroup over Z x Z_3 (:func:`find_H`), and the
-``*_holds`` rows that ``sring check-lemmas`` prints.  Every count is exact and
-in integers, on the window for an infinite group.
+What a Schur ring's structure theory says about a verified presentation: the
+rings an S-subgroup gives on H and on G/K (:func:`restrict`,
+:func:`quotient`), Schur's multiplier sets, the maximal free S-subgroup over
+Z x Z_3 (:func:`find_H`), and the ``*_holds`` rows that ``sring
+check-lemmas`` prints.  Whether a subgroup is an S-subgroup is
+:func:`sring.schur.is_ssubgroup`.  Every count is exact and in integers, on
+the window for an infinite group.
 """
 
 from __future__ import annotations
@@ -16,17 +17,10 @@ from typing import Iterable
 
 from .errors import BadPrime, NotSSet, NotSSubgroup, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, GroupElement
-from .schur import Z_CROSS_Z3, SchurPresentation, _fmt_class, _split_level, is_sset, shadow
+from .schur import (
+    Z_CROSS_Z3, SchurPresentation, _fmt_class, _split_level, is_sset, is_ssubgroup, shadow, splits,
+)
 from .subgroups import QuotientMap, Subgroup
-
-
-def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
-    """True when no class straddles H (checked on the window for infinite G)."""
-    for c in P.classes:
-        inside = sum(1 for g in c if H.contains(g))
-        if inside not in (0, len(c)):
-            return False
-    return True
 
 
 def restrict(P: SchurPresentation, H: Subgroup) -> SchurPresentation:
@@ -37,14 +31,11 @@ def restrict(P: SchurPresentation, H: Subgroup) -> SchurPresentation:
     """
     if H.group != P.group:
         raise ValueError("subgroup belongs to a different group")
-    if not is_ssubgroup(P, H):
+    h_elems = frozenset(H.window_elements(P.window))
+    if splits(P.classes, h_elems):
         raise NotSSubgroup(f"{H} is not a union of classes")
     desc, coords = H.as_group()
-    inner_classes = [
-        frozenset(coords.to_sub(g) for g in c)
-        for c in P.classes
-        if all(g in H for g in c)
-    ]
+    inner_classes = [frozenset(coords.to_sub(g) for g in c) for c in P.classes if c <= h_elems]
     if desc.is_infinite:
         window = P.window // H.free_step
     else:

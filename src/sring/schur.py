@@ -14,9 +14,13 @@ at once.  :func:`verify_wielandt` multiplies one pair at a time with
 :func:`class_product`, which counts products of exponent pairs, so no function
 here takes a group-ring element.
 
-S-subgroups, restriction and quotient, multiplier sets and the lemma rows live
-in :mod:`sring.lemmas`, so that ``verify`` does not load them.  Their names
-still resolve here on first use.
+The S-set rules live here too: a set is an S-set when it is a union of
+classes (:func:`is_union`, :func:`is_sset`), and a subgroup is an S-subgroup
+when no class splits it (:func:`splits`, :func:`is_ssubgroup`), the one test
+that restriction, quotients, wedges, traditionality and the classifier share.
+Restriction and quotient, multiplier sets and the lemma rows live in
+:mod:`sring.lemmas`, so that ``verify`` does not load them.  Their names still
+resolve here on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import sys
 from itertools import compress, islice
 from operator import itemgetter, ne
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _Forwarding
 from .errors import MalformedPartition
@@ -38,6 +42,9 @@ from .groups import (
     json_int_pair,
     json_value,
 )
+
+if TYPE_CHECKING:
+    from .subgroups import Subgroup
 
 
 Z_CROSS_Z3 = GroupDescriptor(0, 3)
@@ -269,6 +276,18 @@ def shadow(c: Iterable[GroupElement]) -> frozenset[int]:
     return frozenset(g.z_exp for g in c)
 
 
+def splits(classes: Iterable[frozenset], elems: frozenset) -> bool:
+    """Whether some class meets elems without lying inside it."""
+    return any(not (c <= elems or c.isdisjoint(elems)) for c in classes)
+
+
+def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
+    """True when H, cut to the window for an infinite group, is a union of
+    classes: no class splits it.  A class reaching past the window splits
+    every H it meets; :func:`check_partition` rules such classes out."""
+    return not splits(P.classes, frozenset(H.window_elements(P.window)))
+
+
 def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
     """True when elems is exactly a union of classes; lookup maps element -> class."""
     remaining = set(elems)
@@ -444,7 +463,7 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
 # names that moved to their own modules -> that module; see sring._Forwarding
 _MOVED = {"class_stabilizer": "automorphisms"} | dict.fromkeys(
     ("MIN_FIND_H_WINDOW", "class_shape_holds", "find_H", "frobenius_closure_holds",
-     "is_ssubgroup", "multiplier_set", "multiplier_set_congruence", "multiplier_sets_hold",
+     "multiplier_set", "multiplier_set_congruence", "multiplier_sets_hold",
      "power_in_subgroup_holds", "quotient", "restrict", "torsion_is_ssubgroup",
      "torsion_subgroup_holds"),
     "lemmas",

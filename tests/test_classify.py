@@ -25,7 +25,6 @@ from sring import (
     named_automorphism,
     orbit_ring,
     projection_type,
-    recipe_from_json,
     recipe_to_json,
     resynthesize,
     standard_wedge,
@@ -39,6 +38,8 @@ from sring.cli import run
 from sring.constructions import torsion_tower
 from sring.enumeration import enumerate_windowed
 from sring.lemmas import quotient, torsion_is_ssubgroup
+
+from readers import recipe_from_json
 
 # [human line, --json line] of `sring classify` for each ring of
 # enumerate_windowed(12), in its order

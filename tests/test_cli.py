@@ -603,6 +603,22 @@ class TestInputBoundary:
         code, out, _ = invoke(capsys, *argv)
         assert code == 2 and "9 elements" in out
 
+    @pytest.mark.parametrize("classes,window,reason", [
+        ([[[0, 0]], [[1, 0]]], 1, "group not covered, e.g. z^-1"),
+        (_discrete_w1(1) + [[[1, 0]]], 1, "classes overlap"),
+        (_discrete_w1(1) + [[[5, 0]]], 1, "z^5 lies outside window 1"),
+        ([[[0, 0]]], 0, "windowed presentation needs window >= 1"),
+    ], ids=["gap", "overlap", "outside-the-window", "window-0"])
+    def test_construct_tensor_rejects_a_malformed_factor(self, capsys, classes, window, reason):
+        left = {"group": {"free": "Z", "torsion": 1}, "window": window, "classes": classes}
+        right = {"group": {"free": 1, "torsion": 3}, "window": 0,
+                 "classes": [[[0, 0]], [[0, 1], [0, 2]]]}
+        for first, second in [(left, right), (right, left)]:
+            params = json.dumps({"left": first, "right": second})
+            argv = ["--json", "construct", "--kind", "tensor", "--params", params]
+            code, out, _ = invoke(capsys, *argv)
+            assert (code, json.loads(out)) == (2, {"error": reason})
+
 
 class TestEntryPoint:
     """``python -m sring.cli`` as a subprocess: main() and sys.exit included."""

@@ -37,8 +37,7 @@ from sring.cli import parse_group
 from sring.constructions import _direct_product
 from sring.enumeration import MAX_WINDOW, _closed, _search, _star_pairs
 from sring.automorphisms import close_automorphisms
-from sring.lemmas import is_ssubgroup
-from sring.schur import reach, shadow, star
+from sring.schur import is_ssubgroup, reach, shadow, star
 
 # enumerate_windowed(w, projection) for w = 1-6, as [P.to_json() for P in ...],
 # keyed "<w> <projection>"; recorded while the window search still pruned with
@@ -320,10 +319,15 @@ class TestEnumerateFinite:
         "spec", [(1, 4), (1, 6), (2, 3), (1, 7), (1, 8), (2, 2), (2, 4), (1, 9), (3, 3)]
     )
     def test_pruning_soundness(self, spec):
+        # the reference is the unpruned search: every set partition of the
+        # elements other than the identity, {1} added, that verify_axioms
+        # accepts, in enumerate_finite's order
         G = GroupDescriptor(*spec)
-        pruned = enumerate_finite(G, prune=True)
-        raw = enumerate_finite(G, prune=False)
-        assert [P.classes for P in pruned] == [P.classes for P in raw]
+        rest = [g for g in G.elements() if g != G.identity]
+        leaves = (SchurPresentation(G, [[G.identity], *parts]) for parts in _set_partitions(rest))
+        raw = sorted((P for P in leaves if verify_axioms(P).ok),
+                     key=lambda P: tuple(tuple(sorted(c)) for c in P.classes))
+        assert [P.classes for P in enumerate_finite(G)] == [P.classes for P in raw]
 
     @pytest.mark.parametrize("label", sorted(FINITE_GOLDEN))
     def test_golden_output(self, label):

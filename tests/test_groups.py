@@ -12,8 +12,9 @@ from sring import (
     all_subgroups,
     format_element,
     orbit,
-    parse_element,
 )
+
+from readers import parse_element
 
 exponents = st.integers(min_value=-50, max_value=50)
 torsion = st.integers(min_value=0, max_value=2)

@@ -25,9 +25,9 @@ MOVED = {
     "schur": {
         "automorphisms": ["class_stabilizer"],
         "lemmas": ["MIN_FIND_H_WINDOW", "class_shape_holds", "find_H", "frobenius_closure_holds",
-                   "is_ssubgroup", "multiplier_set", "multiplier_set_congruence",
-                   "multiplier_sets_hold", "power_in_subgroup_holds", "quotient", "restrict",
-                   "torsion_is_ssubgroup", "torsion_subgroup_holds"],
+                   "multiplier_set", "multiplier_set_congruence", "multiplier_sets_hold",
+                   "power_in_subgroup_holds", "quotient", "restrict", "torsion_is_ssubgroup",
+                   "torsion_subgroup_holds"],
     },
 }
 TRIPLES = [(old, home, name) for old, homes in MOVED.items()

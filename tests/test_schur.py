@@ -1,7 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sring import (
     GroupDescriptor,
@@ -13,6 +17,7 @@ from sring import (
     RingElement,
     SchurPresentation,
     Subgroup,
+    all_subgroups,
     discrete,
     enumerate_windowed,
     is_sset,
@@ -32,7 +37,8 @@ from sring.lemmas import (
     multiplier_sets_hold,
     power_in_subgroup_holds,
 )
-from sring.schur import _split_level
+from sring.cli import parse_group
+from sring.schur import _split_level, splits, star
 
 
 # {1}, {a, a^2}, {z^-1, z a^2}, {z^-1 a, z}, {z^-1 a^2, z a}: star-closed, but
@@ -221,6 +227,78 @@ class TestGeneratedSubgroup:
         alpha = simple_quantity(G, [(1, 1)])
         H = self.generated(alpha, P)
         assert H.contains((2, 2)) and not H.contains((0, 1))
+
+
+# enumerate_finite(G) as [P.to_json() for P in ...], keyed by the CLI group label
+FINITE_GOLDEN = json.loads((Path(__file__).parent / "finite_golden.json").read_text())
+
+
+def count_rule(P: SchurPresentation, H: Subgroup) -> bool:
+    """The S-subgroup test that the set-based :func:`is_ssubgroup` replaced:
+    no class has some but not all of its elements in H."""
+    for c in P.classes:
+        inside = sum(1 for g in c if H.contains(g))
+        if inside not in (0, len(c)):
+            return False
+    return True
+
+
+@cache
+def rings() -> list[tuple[SchurPresentation, tuple[Subgroup, ...]]]:
+    """Each ring of the finite golden census with every subgroup of its group,
+    and each ring of enumerate_windowed(1..6) with the torsion subgroup, <z^h>
+    and <z^h> x <a> for h <= w."""
+    out = []
+    for label, census in sorted(FINITE_GOLDEN.items()):
+        subgroups = tuple(all_subgroups(parse_group(label)))
+        out += [(SchurPresentation.from_json(data), subgroups) for data in census]
+    for w in range(1, 7):
+        for P in enumerate_windowed(w):
+            G = P.group
+            subgroups = (Subgroup.torsion(G),) + tuple(
+                make(G, h) for h in range(1, w + 1)
+                for make in (Subgroup.free_power, Subgroup.free_power_with_torsion)
+            )
+            out.append((P, subgroups))
+    return out
+
+
+def merges(P: SchurPresentation) -> list[SchurPresentation]:
+    """P with two classes merged and their stars merged, as the benchmark's
+    perturbed inputs are made: both classes self-star or neither, and neither
+    the star of the other, so that the result is still a partition."""
+    G, out = P.group, []
+    for i, c in enumerate(P.classes[1:], 1):
+        for d in P.classes[i + 1:]:
+            if d != star(c, G) and (star(c, G) == c) == (star(d, G) == d):
+                kept = [e for e in P.classes if e not in {c, d, star(c, G), star(d, G)}]
+                classes = kept + [c | d, star(c, G) | star(d, G)]
+                out.append(SchurPresentation(G, classes, window=P.window))
+    return out
+
+
+class TestSSubgroupRule:
+    """The set-based rule agrees with the count-based one whenever every class
+    lies in the window, as on every ring the package builds or accepts."""
+
+    def test_every_census_ring_and_subgroup(self):
+        for P, subgroups in rings():
+            for H in subgroups:
+                assert is_ssubgroup(P, H) == count_rule(P, H), (P.describe(), str(H))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_merged_variants(self, data):
+        P, subgroups = data.draw(st.sampled_from(rings()))
+        P = data.draw(st.sampled_from(merges(P) or [P]))
+        for H in subgroups:
+            assert is_ssubgroup(P, H) == count_rule(P, H), (P.describe(), str(H))
+
+    def test_a_class_past_the_window_splits_every_subgroup_it_meets(self, G):
+        P = SchurPresentation(G, [[(0, 0)], [(1, 0), (2, 0)]], window=1)
+        assert splits(P.classes, frozenset(G.window_elements(1)))
+        assert not is_ssubgroup(P, Subgroup.free_power(G, 1))
+        assert count_rule(P, Subgroup.free_power(G, 1))
 
 
 class TestRestrictQuotient:

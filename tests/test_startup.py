@@ -22,8 +22,8 @@ W3 = json.dumps(discrete(GroupDescriptor(0, 3), 3).to_json())
 PUBLIC = {
     "automorphisms": ["Automorphism", "all_automorphisms", "class_stabilizer",
                       "named_automorphism", "orbit"],
-    "classify": ["classify", "describe_recipe", "projection_type", "recipe_from_json",
-                 "recipe_to_json", "resynthesize"],
+    "classify": ["classify", "describe_recipe", "projection_type", "recipe_to_json",
+                 "resynthesize"],
     "constructions": ["Recipe", "build", "discrete", "orbit_ring", "standard_wedge",
                       "symmetric", "tensor", "trivial", "wedge"],
     "enumeration": ["enumerate_finite", "enumerate_windowed", "is_traditional"],
@@ -32,27 +32,36 @@ PUBLIC = {
                "NotSSubgroup", "SchurError", "Unclassifiable", "UnrecognizedQuotient",
                "UnsupportedProduct", "WindowTooSmall", "ZeroElement"],
     "group_ring": ["CoeffFn", "RingElement", "monomial", "one", "simple_quantity", "zero"],
-    "groups": ["GroupDescriptor", "GroupElement", "format_element", "parse_element"],
-    "lemmas": ["find_H", "is_ssubgroup", "multiplier_set", "multiplier_set_congruence",
-               "quotient", "restrict", "torsion_is_ssubgroup"],
-    "schur": ["SchurPresentation", "VerificationReport", "Witness", "is_sset", "verify_axioms",
-              "verify_wielandt"],
+    "groups": ["GroupDescriptor", "GroupElement", "format_element"],
+    "lemmas": ["find_H", "multiplier_set", "multiplier_set_congruence", "quotient", "restrict",
+               "torsion_is_ssubgroup"],
+    "schur": ["SchurPresentation", "VerificationReport", "Witness", "is_sset", "is_ssubgroup",
+              "verify_axioms", "verify_wielandt"],
     "subgroups": ["QuotientMap", "Subgroup", "all_subgroups"],
 }
 
-# `python -m sring.cli` runs the cli as __main__, so it is not listed as sring.cli
+# the cli runs as __main__, so it is not listed as sring.cli
 BASE = {"sring", "sring.errors", "sring.groups", "sring.schur"}
 # the homes of the code that verify never runs
 MOVED_OUT = {"sring.automorphisms", "sring.lemmas", "sring.subgroups"}
-BUILDERS = MOVED_OUT | {"sring.constructions"}
+BUILDERS = {"sring.automorphisms", "sring.constructions", "sring.subgroups"}
+# classify and enumerate also restrict rings to S-subgroups and take quotients
+PARTS = BUILDERS | {"sring.lemmas"}
 # command line, stdin, and the sring modules the call loads besides BASE
 COMMANDS = {
     "verify": (["verify", "-"], W3, set()),
     "construct": (["construct", "--kind", "discrete", "--window", "3"], "", BUILDERS),
-    "classify": (["classify", "-"], W3, BUILDERS | {"sring.classify"}),
+    "classify": (["classify", "-"], W3, PARTS | {"sring.classify"}),
     "check-lemmas": (["check-lemmas", "-"], W3, {"sring.lemmas", "sring.subgroups"}),
-    "enumerate": (["enumerate", "--group", "Z3"], "", BUILDERS | {"sring.enumeration"}),
+    "enumerate": (["enumerate", "--group", "Z3"], "", PARTS | {"sring.enumeration"}),
 }
+
+# run the cli as `python -m sring.cli` does, and list sys.modules on stderr at exit
+RUN_CLI_AS_MAIN = """
+import atexit, runpy, sys
+atexit.register(lambda: print("sys.modules at exit:", *sorted(sys.modules), file=sys.stderr))
+runpy.run_module("sring.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 def python(*argv: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -69,6 +78,20 @@ def imported(*argv: str, stdin: str = "") -> set[str]:
     return {line.rpartition("|")[2].strip() for line in lines[1:]}  # lines[0] is the header
 
 
+def held_at_exit(*argv: str, stdin: str = "") -> set[str]:
+    """The sring modules in ``sys.modules`` when a cli call exits.
+
+    ``-X importtime`` lists only what an import statement loads, not what
+    ``importlib.import_module`` loads, as the package ``__getattr__`` and
+    ``sring._Forwarding`` do; ``sys.modules`` holds both.
+    """
+    proc = python("-c", RUN_CLI_AS_MAIN, *argv, stdin=stdin)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    line = proc.stderr.splitlines()[-1]
+    assert line.startswith("sys.modules at exit:"), proc.stderr
+    return {name for name in line.split(":", 1)[1].split() if name.startswith("sring")}
+
+
 @pytest.fixture(scope="module")
 def interpreter_modules() -> set[str]:
     return imported("-c", "pass")
@@ -80,6 +103,7 @@ def test_a_command_loads_only_what_it_runs(interpreter_modules, command):
     loaded = imported("-m", "sring.cli", *argv, stdin=stdin) - interpreter_modules
     assert "dataclasses" not in loaded
     assert {name for name in loaded if name.startswith("sring")} == BASE | extra
+    assert held_at_exit(*argv, stdin=stdin) == BASE | extra
     assert command != "verify" or not loaded & MOVED_OUT
 
 
@@ -156,7 +180,7 @@ print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
     proc = python("-c", script, json.dumps(PUBLIC))
     assert proc.returncode == 0, proc.stderr
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 65
+    assert len(names) == 63
     assert json.loads(proc.stdout) == names
 
 
