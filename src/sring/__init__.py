@@ -82,14 +82,15 @@ sys.modules[__name__].__class__ = _Package
 
 
 class _Forwarding(ModuleType):
-    """A submodule some of whose names moved to other submodules.
+    """A submodule that still answers for some names of other submodules.
 
-    ``_MOVED`` maps each such name to its home.  Reading the name imports the
-    home and binds the name here too.  Binding it here binds it at the home as
-    well, so a function replaced through the old path is replaced for the
-    callers inside its home; ``perfbench/layers.py`` wraps functions that way,
-    by their old module.  Any other name, dunder names such as ``__path__``
-    included, imports nothing.
+    ``perfbench/layers.py`` wraps functions by the module they lived in
+    before they moved; ``_MOVED`` maps each name it binds that way to its
+    home, and nothing else.  Reading the name imports the home and binds the
+    name here too.  Binding it here binds it at the home as well, so a
+    function replaced through the old path is replaced for the callers inside
+    its home.  Any other name, dunder names such as ``__path__`` included,
+    imports nothing.
     """
 
     def __getattr__(self, name: str):

@@ -27,9 +27,7 @@ from pathlib import Path
 
 from .errors import BoundExceeded, MalformedPartition, SchurError, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, json_field, json_value
-from .schur import (
-    Z_CROSS_Z3, SchurPresentation, check_partition, verify_axioms, verify_wielandt,
-)
+from .schur import Z_CROSS_Z3, SchurPresentation, verify_axioms, verify_wielandt
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -127,10 +125,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         gens = [automorphism_from_json(g, group) for g in json_field(params, "gens", list, [])]
         P = orbit_ring(group, gens, args.window)
     elif args.kind == "tensor":
-        left = SchurPresentation.from_json(json_field(params, "left", dict))
-        right = SchurPresentation.from_json(json_field(params, "right", dict))
-        check_partition(left)
-        check_partition(right)
+        left, right = (SchurPresentation.from_json(json_field(params, side, dict))
+                       for side in ("left", "right"))
+        reports = verify_axioms(left), verify_axioms(right)  # a malformed factor exits 2 here
+        for side, report in zip(("left", "right"), reports):
+            if report.witness is not None:
+                error = f"the {side} factor is not a Schur ring: {report.witness.detail}"
+                _emit({"error": error}, args.json, f"invalid: {error}")
+                return EXIT_INVALID
         _require_size(sum(map(len, left.classes)) * sum(map(len, right.classes)))
         P = tensor(left, right)
     else:  # wedge; argparse restricts the choices

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .automorphisms import Automorphism, orbit
 from .groups import GroupDescriptor, GroupElement, Record, _setattr
-from .schur import SchurPresentation, is_ssubgroup, reach, splits
+from .schur import SchurPresentation, is_ssubgroup, is_union, reach
 from .subgroups import QuotientMap, Subgroup
 
 
@@ -160,7 +160,7 @@ def wedge(
 
     # The inner and outer rings are compared on H/K in the coordinates of G/K.
     inner_classes = [frozenset(h_coords.from_sub(g) for g in c) for c in inner.classes]
-    if splits(inner_classes, frozenset(K.elements())):
+    if not is_union(K.elements(), {g: c for c in inner_classes for g in c}):
         raise IncompatibleWedge("K is not an S-subgroup of the inner presentation")
     h_image = Subgroup.generated_by(qm.descriptor, [qm.project(g) for g in H.generators()])
     if not is_ssubgroup(outer, h_image):

@@ -16,7 +16,7 @@ from .errors import BoundExceeded, InfiniteGroup
 from .automorphisms import canonical_generators, class_stabilizer
 from .groups import GroupDescriptor
 from .lemmas import quotient, restrict
-from .schur import SchurPresentation, reach, shadow, splits, verify_axioms
+from .schur import SchurPresentation, is_union, reach, shadow, verify_axioms
 from .subgroups import all_subgroups
 
 DEFAULT_FINITE_BOUND = 16
@@ -164,7 +164,7 @@ def is_traditional(P: SchurPresentation) -> Recipe:
         for H in all_subgroups(G)
         if not H.is_trivial and H.order != G.order
         for h_elems in [frozenset(H.elements())]
-        if not splits(P.classes, h_elems)
+        if is_union(h_elems, P._member_class)
     ]
 
     # P's parts, each computed once and only when a candidate first needs it

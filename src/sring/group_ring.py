@@ -242,7 +242,3 @@ class CoeffFn(Record):
         if value == 0:
             raise InvalidCoeffFn("level value must be nonzero")
         return cls(table=((value, Fraction(1)),))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Rational, Rational], default: Rational = 0) -> "CoeffFn":
-        return cls(tuple((Fraction(k), Fraction(v)) for k, v in mapping.items()), Fraction(default))

@@ -6,7 +6,8 @@ reduced exponent pairs, so equality is structural.
 
 Automorphisms live in :mod:`sring.automorphisms` and subgroups and quotient
 maps in :mod:`sring.subgroups`, so that a command which needs neither, such as
-``verify``, does not load them.  Their names still resolve here on first use.
+``verify``, does not load them.  The three of their names that the benchmark's
+trace binds here still resolve here on first use.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ class GroupDescriptor(Record):
             z_exp %= self.free_order
         return GroupElement(z_exp, a_exp % self.torsion_order)
 
-    def reduce(self, g: GroupElement) -> GroupElement:
-        return self.element(*g)
-
     @property
     def identity(self) -> GroupElement:
         return IDENTITY
@@ -214,11 +212,7 @@ def format_element(g: GroupElement) -> str:
     return "*".join(parts) if parts else "1"
 
 
-# names that moved to their own modules -> that module; see sring._Forwarding
-_MOVED = dict.fromkeys(
-    ("Automorphism", "NAMED_AUTOMORPHISM_ORDER", "all_automorphisms", "automorphism_from_json",
-     "automorphism_sort_key", "canonical_generators", "close_automorphisms", "named_automorphism",
-     "orbit"),
-    "automorphisms",
-) | dict.fromkeys(("QuotientMap", "Subgroup", "SubgroupCoords", "all_subgroups"), "subgroups")
+# names that perfbench/layers.py traces here but that live elsewhere; see sring._Forwarding
+_MOVED = {"close_automorphisms": "automorphisms", "orbit": "automorphisms",
+          "all_subgroups": "subgroups"}
 sys.modules[__name__].__class__ = _Forwarding

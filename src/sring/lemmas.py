@@ -18,7 +18,8 @@ from typing import Iterable
 from .errors import BadPrime, NotSSet, NotSSubgroup, Unclassifiable, WindowTooSmall
 from .groups import GroupDescriptor, GroupElement
 from .schur import (
-    Z_CROSS_Z3, SchurPresentation, _fmt_class, _split_level, is_sset, is_ssubgroup, shadow, splits,
+    Z_CROSS_Z3, SchurPresentation, _fmt_class, _split_level, is_sset, is_ssubgroup, is_union,
+    shadow,
 )
 from .subgroups import QuotientMap, Subgroup
 
@@ -32,7 +33,7 @@ def restrict(P: SchurPresentation, H: Subgroup) -> SchurPresentation:
     if H.group != P.group:
         raise ValueError("subgroup belongs to a different group")
     h_elems = frozenset(H.window_elements(P.window))
-    if splits(P.classes, h_elems):
+    if not is_union(h_elems, P._member_class):
         raise NotSSubgroup(f"{H} is not a union of classes")
     desc, coords = H.as_group()
     inner_classes = [frozenset(coords.to_sub(g) for g in c) for c in P.classes if c <= h_elems]

@@ -14,13 +14,13 @@ at once.  :func:`verify_wielandt` multiplies one pair at a time with
 :func:`class_product`, which counts products of exponent pairs, so no function
 here takes a group-ring element.
 
-The S-set rules live here too: a set is an S-set when it is a union of
-classes (:func:`is_union`, :func:`is_sset`), and a subgroup is an S-subgroup
-when no class splits it (:func:`splits`, :func:`is_ssubgroup`), the one test
-that restriction, quotients, wedges, traditionality and the classifier share.
-Restriction and quotient, multiplier sets and the lemma rows live in
-:mod:`sring.lemmas`, so that ``verify`` does not load them.  Their names still
-resolve here on first use.
+The S-set rules live here too: :func:`is_union` decides whether a set is a
+union of classes, and so whether it is an S-set (:func:`is_sset`), a level set
+of a product, or an S-subgroup (:func:`is_ssubgroup`), the one test that
+restriction, quotients, wedges, traditionality and the classifier share.
+Restriction and quotient and the lemma rows live in :mod:`sring.lemmas`, so
+that ``verify`` does not load them; the names that the benchmark's trace binds
+here still resolve here on first use.
 """
 
 from __future__ import annotations
@@ -276,20 +276,9 @@ def shadow(c: Iterable[GroupElement]) -> frozenset[int]:
     return frozenset(g.z_exp for g in c)
 
 
-def splits(classes: Iterable[frozenset], elems: frozenset) -> bool:
-    """Whether some class meets elems without lying inside it."""
-    return any(not (c <= elems or c.isdisjoint(elems)) for c in classes)
-
-
-def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
-    """True when H, cut to the window for an infinite group, is a union of
-    classes: no class splits it.  A class reaching past the window splits
-    every H it meets; :func:`check_partition` rules such classes out."""
-    return not splits(P.classes, frozenset(H.window_elements(P.window)))
-
-
 def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
-    """True when elems is exactly a union of classes; lookup maps element -> class."""
+    """True when elems is exactly a union of classes; lookup maps element -> class,
+    and an element that it does not map makes the answer False."""
     remaining = set(elems)
     while remaining:
         c = lookup.get(next(iter(remaining)))
@@ -297,6 +286,14 @@ def is_union(elems: Iterable[GroupElement], lookup: Mapping) -> bool:
             return False
         remaining -= c
     return True
+
+
+def is_ssubgroup(P: SchurPresentation, H: Subgroup) -> bool:
+    """True when H, cut to the window for an infinite group, is a union of
+    classes.  A class reaching past the window splits every H it meets, and an
+    element of H in no class makes H no S-subgroup; :func:`check_partition`
+    rules out both."""
+    return is_union(H.window_elements(P.window), P._member_class)
 
 
 def _split_level(coeffs: Mapping, member: Mapping):
@@ -460,12 +457,10 @@ def verify_wielandt(P: SchurPresentation) -> VerificationReport:
     return _report(P, pairs)
 
 
-# names that moved to their own modules -> that module; see sring._Forwarding
-_MOVED = {"class_stabilizer": "automorphisms"} | dict.fromkeys(
-    ("MIN_FIND_H_WINDOW", "class_shape_holds", "find_H", "frobenius_closure_holds",
-     "multiplier_set", "multiplier_set_congruence", "multiplier_sets_hold",
-     "power_in_subgroup_holds", "quotient", "restrict", "torsion_is_ssubgroup",
-     "torsion_subgroup_holds"),
+# names that perfbench/layers.py traces here but that live in lemmas; see sring._Forwarding
+_MOVED = dict.fromkeys(
+    ("class_shape_holds", "frobenius_closure_holds", "multiplier_sets_hold",
+     "power_in_subgroup_holds", "quotient", "restrict", "torsion_subgroup_holds"),
     "lemmas",
 )
 sys.modules[__name__].__class__ = _Forwarding

@@ -116,7 +116,7 @@ class Subgroup(Record):
     ) -> "Subgroup":
         """The subgroup generated by the given elements."""
         n, m = group.free_order, group.torsion_order
-        gens = [group.reduce(g) for g in elems]
+        gens = [group.element(*g) for g in elems]
         if n:
             gens.append(GroupElement(n, 0))  # wrap-around relation of the free factor
         h, c_h = 0, 0
@@ -210,7 +210,7 @@ class Subgroup(Record):
         return gens
 
     def contains(self, g: GroupElement) -> bool:
-        g = self.group.reduce(g)
+        g = self.group.element(*g)
         k, i = g
         if self._free_trivial:
             if k != 0:
@@ -274,13 +274,6 @@ class Subgroup(Record):
         desc = GroupDescriptor(free, torsion)
         return desc, SubgroupCoords(self, desc, V, V_inv)
 
-    def to_json(self) -> dict:
-        return {
-            "free_step": self.free_step,
-            "twist": self.twist,
-            "torsion_step": self.torsion_step,
-        }
-
     def __str__(self) -> str:
         gens = self.generators()
         if not gens:
@@ -299,7 +292,7 @@ class SubgroupCoords:
     def to_sub(self, g: GroupElement) -> GroupElement:
         sub = self.sub
         G = sub.group
-        g = G.reduce(g)
+        g = G.element(*g)
         if not sub.contains(g):
             raise ValueError(f"{format_element(g)} is not in {sub}")
         t = 0 if sub._free_trivial else g.z_exp // sub.free_step
@@ -355,7 +348,7 @@ class QuotientMap:
 
     def section(self, q: GroupElement) -> GroupElement:
         """One preimage of a quotient element."""
-        return self.group.element(*_times(self.descriptor.reduce(q), self._V_inv))
+        return self.group.element(*_times(self.descriptor.element(*q), self._V_inv))
 
     def preimage(self, q: GroupElement) -> frozenset[GroupElement]:
         """The full coset over a quotient element (kernel must be finite)."""

@@ -38,7 +38,7 @@ def parse_element(text: str, group: GroupDescriptor | None = None) -> GroupEleme
         if match.group("a"):
             a_exp = int(match.group("ak")) if match.group("ak") is not None else 1
     g = GroupElement(z_exp, a_exp)
-    return group.reduce(g) if group is not None else g
+    return group.element(*g) if group is not None else g
 
 
 def recipe_from_json(data) -> Recipe:

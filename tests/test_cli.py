@@ -619,6 +619,26 @@ class TestInputBoundary:
             code, out, _ = invoke(capsys, *argv)
             assert (code, json.loads(out)) == (2, {"error": reason})
 
+    # over Z5, {a, a^4} * {a^2} = a^3 + a^6 = a + a^3 is not constant on {a, a^4}
+    Z5_SPLIT = ({"group": {"free": 1, "torsion": 5}, "window": 0,
+                 "classes": [[[0, 0]], [[0, 1], [0, 4]], [[0, 2]], [[0, 3]]]},
+                "product is not constant on class {a, a^4}")
+    Z3_IDENTITY = ({"group": {"free": 1, "torsion": 3}, "window": 0,
+                    "classes": [[[0, 0], [0, 1]], [[0, 2]]]},
+                   "the identity must form a singleton class")
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("factor,detail", [Z5_SPLIT, Z3_IDENTITY], ids=["product", "identity"])
+    def test_construct_tensor_rejects_a_factor_that_is_no_ring(self, capsys, side, factor, detail):
+        ring = {"group": {"free": "Z", "torsion": 1}, "window": 1, "classes": _discrete_w1(1)}
+        params = {"left": ring, "right": ring} | {side: factor}
+        code, out, _ = invoke(capsys, "--json", "construct", "--kind", "tensor",
+                              "--params", json.dumps(params))
+        error = f"the {side} factor is not a Schur ring: {detail}"
+        assert (code, out) == (1, json.dumps({"error": error}) + "\n")
+        code, out, _ = invoke(capsys, "construct", "--kind", "tensor", "--params", json.dumps(params))
+        assert (code, out) == (1, f"invalid: {error}\n")
+
 
 class TestEntryPoint:
     """``python -m sring.cli`` as a subprocess: main() and sys.exit included."""

@@ -264,6 +264,19 @@ class TestWedge:
         with pytest.raises(IncompatibleWedge):
             wedge(H, H, discrete(h_desc, 3), discrete(GroupDescriptor(2, 1)), 6)
 
+    # Z12 with the tower <a^6> <= <a^2>: H and G/K are both Z6, and one of the
+    # two trivial rings there splits the subgroup that the wedge needs whole
+    @pytest.mark.parametrize("inner,outer,message", [
+        (trivial, discrete, "K is not an S-subgroup of the inner presentation"),
+        (discrete, trivial, "H/K is not an S-subgroup of the outer presentation"),
+    ], ids=["inner", "outer"])
+    def test_a_split_subgroup_is_refused(self, inner, outer, message):
+        G, Z6 = GroupDescriptor(1, 12), GroupDescriptor(1, 6)
+        H, K = (Subgroup.generated_by(G, [GroupElement(0, k)]) for k in (2, 6))
+        with pytest.raises(IncompatibleWedge) as info:
+            wedge(H, K, inner(Z6), outer(Z6))
+        assert str(info.value) == message
+
     def test_recursive_inner(self, G):
         # inner ring on <z^2> x Z_3 is itself an orbit ring
         H = Subgroup.free_power_with_torsion(G, 2)

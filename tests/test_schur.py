@@ -37,8 +37,8 @@ from sring.lemmas import (
     multiplier_sets_hold,
     power_in_subgroup_holds,
 )
-from sring.cli import parse_group
-from sring.schur import _split_level, splits, star
+from sring.schur import _split_level, check_partition, is_union, star
+from test_kernel import partitions
 
 
 # {1}, {a, a^2}, {z^-1, z a^2}, {z^-1 a, z}, {z^-1 a^2, z a}: star-closed, but
@@ -234,8 +234,8 @@ FINITE_GOLDEN = json.loads((Path(__file__).parent / "finite_golden.json").read_t
 
 
 def count_rule(P: SchurPresentation, H: Subgroup) -> bool:
-    """The S-subgroup test that the set-based :func:`is_ssubgroup` replaced:
-    no class has some but not all of its elements in H."""
+    """The first S-subgroup test that :func:`is_ssubgroup` replaced: no class
+    has some but not all of its elements in H."""
     for c in P.classes:
         inside = sum(1 for g in c if H.contains(g))
         if inside not in (0, len(c)):
@@ -243,24 +243,33 @@ def count_rule(P: SchurPresentation, H: Subgroup) -> bool:
     return True
 
 
+def set_rule(P: SchurPresentation, H: Subgroup) -> bool:
+    """The second one: no class meets H, cut to the window, without lying
+    inside it."""
+    elems = frozenset(H.window_elements(P.window))
+    return not any(not (c <= elems or c.isdisjoint(elems)) for c in P.classes)
+
+
+def subgroups_to_check(P: SchurPresentation) -> tuple[Subgroup, ...]:
+    """Every subgroup of a finite group; on a window w, the torsion subgroup,
+    <z^h> and <z^h> x <a> for h <= w."""
+    G = P.group
+    if not G.is_infinite:
+        return tuple(all_subgroups(G))
+    return (Subgroup.torsion(G),) + tuple(
+        make(G, h) for h in range(1, P.window + 1)
+        for make in (Subgroup.free_power, Subgroup.free_power_with_torsion)
+    )
+
+
 @cache
 def rings() -> list[tuple[SchurPresentation, tuple[Subgroup, ...]]]:
-    """Each ring of the finite golden census with every subgroup of its group,
-    and each ring of enumerate_windowed(1..6) with the torsion subgroup, <z^h>
-    and <z^h> x <a> for h <= w."""
-    out = []
-    for label, census in sorted(FINITE_GOLDEN.items()):
-        subgroups = tuple(all_subgroups(parse_group(label)))
-        out += [(SchurPresentation.from_json(data), subgroups) for data in census]
-    for w in range(1, 7):
-        for P in enumerate_windowed(w):
-            G = P.group
-            subgroups = (Subgroup.torsion(G),) + tuple(
-                make(G, h) for h in range(1, w + 1)
-                for make in (Subgroup.free_power, Subgroup.free_power_with_torsion)
-            )
-            out.append((P, subgroups))
-    return out
+    """Each ring of the finite golden census and of enumerate_windowed(1..6),
+    with :func:`subgroups_to_check`."""
+    out = [SchurPresentation.from_json(data)
+           for _, census in sorted(FINITE_GOLDEN.items()) for data in census]
+    out += [P for w in range(1, 7) for P in enumerate_windowed(w)]
+    return [(P, subgroups_to_check(P)) for P in out]
 
 
 def merges(P: SchurPresentation) -> list[SchurPresentation]:
@@ -278,27 +287,47 @@ def merges(P: SchurPresentation) -> list[SchurPresentation]:
 
 
 class TestSSubgroupRule:
-    """The set-based rule agrees with the count-based one whenever every class
-    lies in the window, as on every ring the package builds or accepts."""
+    """:func:`is_ssubgroup`, a union-of-classes test, agrees with both rules it
+    replaced whenever the classes cover the window and lie in it, as on every
+    partition the package builds or accepts."""
+
+    def assert_rules_agree(self, P, subgroups):
+        for H in subgroups:
+            assert is_ssubgroup(P, H) == count_rule(P, H) == set_rule(P, H), (
+                P.describe(), str(H))
 
     def test_every_census_ring_and_subgroup(self):
         for P, subgroups in rings():
-            for H in subgroups:
-                assert is_ssubgroup(P, H) == count_rule(P, H), (P.describe(), str(H))
+            self.assert_rules_agree(P, subgroups)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_merged_variants(self, data):
         P, subgroups = data.draw(st.sampled_from(rings()))
         P = data.draw(st.sampled_from(merges(P) or [P]))
-        for H in subgroups:
-            assert is_ssubgroup(P, H) == count_rule(P, H), (P.describe(), str(H))
+        self.assert_rules_agree(P, subgroups)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitions())
+    def test_random_partitions(self, P):
+        # star-closed or not, and mostly not rings
+        self.assert_rules_agree(P, subgroups_to_check(P))
 
     def test_a_class_past_the_window_splits_every_subgroup_it_meets(self, G):
         P = SchurPresentation(G, [[(0, 0)], [(1, 0), (2, 0)]], window=1)
-        assert splits(P.classes, frozenset(G.window_elements(1)))
+        assert not is_union(G.window_elements(1), P._member_class)
         assert not is_ssubgroup(P, Subgroup.free_power(G, 1))
         assert count_rule(P, Subgroup.free_power(G, 1))
+
+    def test_an_element_in_no_class_makes_no_s_subgroup(self, G):
+        # the one place the set rule differed: z^-1 lies in <z> but in no class,
+        # and a partition with such a gap is refused as malformed
+        P = SchurPresentation(G, [[(0, 0)], [(1, 0)]], window=1)
+        H = Subgroup.free_power(G, 1)
+        assert not is_ssubgroup(P, H)
+        assert set_rule(P, H) and count_rule(P, H)
+        with pytest.raises(MalformedPartition, match="group not covered"):
+            check_partition(P)
 
 
 class TestRestrictQuotient:
