@@ -13,6 +13,7 @@ import importlib
 
 import pytest
 
+import sring
 import sring.groups
 import sring.schur
 from test_traced_names import traced_table
@@ -28,8 +29,29 @@ MOVED = {
                    "power_in_subgroup_holds", "quotient", "restrict", "torsion_subgroup_holds"],
     },
 }
-TRIPLES = [(old, home, name) for old, homes in MOVED.items()
-           for home, names in homes.items() for name in names]
+# old module -> home module -> the moved names the trace does not bind there
+DROPPED = {
+    "groups": {
+        "automorphisms": ["Automorphism", "NAMED_AUTOMORPHISM_ORDER", "all_automorphisms",
+                          "automorphism_from_json", "automorphism_sort_key",
+                          "canonical_generators", "named_automorphism"],
+        "subgroups": ["QuotientMap", "Subgroup", "SubgroupCoords"],
+    },
+    "schur": {
+        "automorphisms": ["class_stabilizer"],
+        "lemmas": ["MIN_FIND_H_WINDOW", "find_H", "multiplier_set", "multiplier_set_congruence",
+                   "torsion_is_ssubgroup"],
+    },
+}
+
+
+def triples(table: dict) -> list:
+    return [(old, home, name) for old, homes in table.items()
+            for home, names in homes.items() for name in names]
+
+
+TRIPLES = triples(MOVED)
+DROPPED_TRIPLES = triples(DROPPED)
 
 
 def module(short: str):
@@ -49,6 +71,15 @@ def traced_moves(old: str) -> dict:
 @pytest.mark.parametrize("old,home,name", TRIPLES, ids=[f"{o}.{n}" for o, _, n in TRIPLES])
 def test_old_path_is_the_home_object(old, home, name):
     assert getattr(module(old), name) is getattr(module(home), name)
+
+
+@pytest.mark.parametrize("old,home,name", DROPPED_TRIPLES,
+                         ids=[f"{o}.{n}" for o, _, n in DROPPED_TRIPLES])
+def test_an_untraced_name_resolves_only_at_its_home(old, home, name):
+    assert not hasattr(module(old), name)
+    obj = vars(module(home))[name]
+    if name in sring.__all__:
+        assert getattr(sring, name) is obj
 
 
 @pytest.mark.parametrize("old", MOVED)
